@@ -25,6 +25,11 @@ import os
 import time
 
 from repro.core import audit_node, build_steady_tpms_node
+from repro.power.compile import (
+    clear_kernel_cache,
+    kernel_metrics,
+    reset_kernel_metrics,
+)
 
 DAY_S = 86400.0
 YEAR_S = 365.0 * DAY_S
@@ -77,7 +82,12 @@ def test_e29_year_scale(benchmark):
     def year_leg():
         return _run(YEAR_S, fast_forward=True)
 
+    # The timed year compiles its own solve kernels, so the counters
+    # below describe exactly the run being timed.
+    clear_kernel_cache()
+    reset_kernel_metrics()
     fast, fast_wall = benchmark.pedantic(year_leg, rounds=1, iterations=1)
+    kernels = kernel_metrics()
     audit = audit_node(fast)
     accelerator = fast.fast_forward
 
@@ -89,6 +99,12 @@ def test_e29_year_scale(benchmark):
     print(f"E29 average power {audit.average_power_w * 1e6:.3f} uW; "
           f"speedup vs stepping ~{speedup:.0f}x "
           f"(plain rate {plain_rate:.0f} sim-s/s)")
+
+    # The scalar-kernel fast path must have served the stepped cycles.
+    assert kernels.scalar_compiles >= 1
+    assert kernels.scalar_mismatches == 0
+    assert kernels.scalar_fallbacks["failed-kernel"] == 0
+    assert kernels.scalar_fallbacks["disabled-converter"] == 0
 
     assert audit.duration_s == YEAR_S
     # The paper's uW-scale claim: single-digit microwatts, a year deep.

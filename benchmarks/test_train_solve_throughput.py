@@ -19,6 +19,11 @@ import numpy as np
 import pytest
 
 from repro.core import LoadState, make_power_train
+from repro.power.compile import (
+    clear_kernel_cache,
+    kernel_metrics,
+    reset_kernel_metrics,
+)
 from repro.power.graph import RailGraph
 from repro.power.rail_topologies import get_rail_spec
 
@@ -50,8 +55,16 @@ def _solve_mixed_workload(kinds):
 
 @pytest.mark.benchmark(group="power-train")
 def test_perf_train_solve_throughput(benchmark):
+    clear_kernel_cache()
+    reset_kernel_metrics()
     total = benchmark(_solve_mixed_workload, ("cots", "ic"))
     assert total > 0.0
+    # The timed solves ran on the compiled scalar kernels.
+    kernels = kernel_metrics()
+    assert kernels.scalar_compiles >= 1
+    assert kernels.scalar_mismatches == 0
+    assert kernels.scalar_fallbacks["failed-kernel"] == 0
+    assert kernels.scalar_fallbacks["disabled-converter"] == 0
 
 
 #: Operating-point count for the batched sweep benchmarks — large enough

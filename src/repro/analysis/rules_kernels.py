@@ -18,6 +18,13 @@ families over the synthetic module:
     contiguous ``guards[0..n-1]`` calls matching the guard list, a
     final 2-tuple return, and no float32 narrowing anywhere.
 
+    Scalar kernels (a ``_scalar`` def, the target behind
+    ``RailGraph.solve``) get their own structural contract: the
+    expected signature, the same single-assignment discipline, no
+    numpy, every early exit a bare ``return None`` decline, and a final
+    ``return (i_source, (currents...), (names...))`` with one current
+    per component name.
+
 ``KER002 kernel-hygiene``
     The repository-wide determinism rules applied to kernel source:
     no imports, no wall-clock or unseeded-random calls, no nested
@@ -35,6 +42,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
+import re
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .driver import ModuleContext, ProjectIndex, Rule
@@ -56,6 +64,15 @@ KERNEL_MODULE = "repro.power.compile._kernel"
 #: The exact positional parameters ``generate_kernel_source`` emits.
 KERNEL_PARAMS = ("v", "loads", "masks", "factors", "guards", "shape", "_np")
 
+#: The exact parameters ``generate_scalar_kernel_source`` emits.
+SCALAR_PARAMS = ("v", "i_mcu", "i_sensor", "i_radio_digital", "i_radio_rf",
+                 "factors", "_sqrt", "_hypot", "_inf")
+
+
+def is_scalar_kernel(source: str) -> bool:
+    """True for scalar-target source (it defines ``_scalar``)."""
+    return re.search(r"^def _scalar\(", source, re.MULTILINE) is not None
+
 
 def kernel_context(kind: str, signature: tuple,
                    source: str) -> Tuple[Optional[ModuleContext],
@@ -67,7 +84,8 @@ def kernel_context(kind: str, signature: tuple,
     baseline fingerprints) identify the kernel, not a tmp file.
     """
     label = ",".join(f"{gate}={state}" for gate, state in signature)
-    relpath = f"<kernel:{kind}:{label or 'no-gates'}>"
+    target = "scalar-kernel" if is_scalar_kernel(source) else "kernel"
+    relpath = f"<{target}:{kind}:{label or 'no-gates'}>"
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -120,6 +138,9 @@ class KernelStructureRule(Rule):
 
     def check(self, ctx: ModuleContext,
               index: ProjectIndex) -> Iterator[Finding]:
+        if is_scalar_kernel(ctx.source):
+            yield from self._check_scalar(ctx)
+            return
         kernels = [node for node in ctx.tree.body
                    if isinstance(node, ast.FunctionDef)
                    and node.name == "_kernel"]
@@ -138,17 +159,74 @@ class KernelStructureRule(Rule):
                 f"kernel signature is {params!r}, expected "
                 f"{KERNEL_PARAMS!r}",
             )
-        yield from self._check_bindings(ctx, func)
+        yield from self._check_bindings(ctx, func, KERNEL_PARAMS)
         yield from self._check_masks(ctx, func)
         yield from self._check_guards(ctx, func)
         yield from self._check_return(ctx, func)
         yield from self._check_narrowing(ctx, func)
 
+    # -- the scalar target -------------------------------------------------
+
+    def _check_scalar(self, ctx: ModuleContext) -> Iterator[Finding]:
+        defs = [node for node in ctx.tree.body
+                if isinstance(node, ast.FunctionDef)]
+        if len(defs) != 1 or defs[0].name != "_scalar":
+            yield self.finding(
+                ctx, ctx.tree,
+                f"expected exactly one `_scalar` def, found "
+                f"{[node.name for node in defs]}",
+            )
+            return
+        func = defs[0]
+        params = tuple(a.arg for a in func.args.posonlyargs
+                       + func.args.args)
+        if params != SCALAR_PARAMS:
+            yield self.finding(
+                ctx, func,
+                f"scalar kernel signature is {params!r}, expected "
+                f"{SCALAR_PARAMS!r}",
+            )
+        yield from self._check_bindings(ctx, func, SCALAR_PARAMS)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id in ("np", "_np"):
+                yield self.finding(
+                    ctx, node,
+                    "scalar kernel uses numpy — the scalar target is "
+                    "Python floats end to end",
+                )
+        final = func.body[-1] if func.body else None
+        for node in ast.walk(func):
+            if isinstance(node, ast.Return) and node is not final \
+                    and not (isinstance(node.value, ast.Constant)
+                             and node.value.value is None):
+                yield self.finding(
+                    ctx, node,
+                    "early scalar-kernel exits must be `return None` "
+                    "(a decline to the interpreter)",
+                )
+        value = final.value if isinstance(final, ast.Return) else None
+        ok = (
+            isinstance(value, ast.Tuple) and len(value.elts) == 3
+            and isinstance(value.elts[0], ast.Name)
+            and isinstance(value.elts[1], ast.Tuple)
+            and all(isinstance(e, ast.Name) for e in value.elts[1].elts)
+            and isinstance(value.elts[2], ast.Tuple)
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in value.elts[2].elts)
+            and len(value.elts[1].elts) == len(value.elts[2].elts)
+        )
+        if not ok:
+            yield self.finding(
+                ctx, final if final is not None else func,
+                "scalar kernel must end by returning `(i_source, "
+                "(currents...), (names...))` with one current per name",
+            )
+
     # -- single-assignment / accumulator discipline -----------------------
 
-    def _check_bindings(self, ctx: ModuleContext,
-                        func: ast.FunctionDef) -> Iterator[Finding]:
-        bound: Set[str] = set(KERNEL_PARAMS)
+    def _check_bindings(self, ctx: ModuleContext, func: ast.FunctionDef,
+                        params: Tuple[str, ...]) -> Iterator[Finding]:
+        bound: Set[str] = set(params)
         for stmt in _statements_in_order(func.body):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name):

@@ -32,7 +32,9 @@ import numpy as np
 
 from ..errors import ConfigurationError, ElectricalError
 from ..power import ConverterIC, ConverterICConfig, PowerSwitch
+from ..power.compile import solve_scalar
 from ..power.graph import (
+    CHANNELS,
     GraphSolution,
     GraphSolutionBatch,
     RailGraph,
@@ -70,14 +72,19 @@ class LoadState:
     i_radio_rf: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        for name in _LOAD_FIELDS:
+            value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigurationError(
-                    f"{field.name} must be finite, got {value!r}"
+                    f"{name} must be finite, got {value!r}"
                 )
             if value < 0.0:
-                raise ConfigurationError(f"{field.name} must be >= 0")
+                raise ConfigurationError(f"{name} must be >= 0")
+
+
+#: LoadState's field names, in declaration order: the per-construction
+#: check iterates this instead of calling ``dataclasses.fields``.
+_LOAD_FIELDS = tuple(field.name for field in dataclasses.fields(LoadState))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,14 +140,6 @@ class PowerTrain(abc.ABC):
             )
         self._loss_factor = loss_factor
 
-    def _finish(self, solution: TrainSolution) -> TrainSolution:
-        """Apply any injected degradation to a healthy solve result."""
-        if self._loss_factor == 1.0:
-            return solution
-        return dataclasses.replace(
-            solution, i_battery=solution.i_battery * self._loss_factor
-        )
-
     @abc.abstractmethod
     def mcu_rail_voltage(self) -> float:
         """The always-on logic rail voltage."""
@@ -161,14 +160,6 @@ class PowerTrain(abc.ABC):
                 f"{self.name}: radio load with its supplies gated off"
             )
 
-    def _subsystem_power(self, loads: LoadState) -> Dict[str, float]:
-        return {
-            "mcu": self.mcu_rail_voltage() * loads.i_mcu,
-            "sensor": self.mcu_rail_voltage() * loads.i_sensor,
-            "radio-digital": V_RADIO_DIGITAL * loads.i_radio_digital,
-            "radio-rf": V_RADIO_RF * loads.i_radio_rf,
-        }
-
 
 class GraphPowerTrain(PowerTrain):
     """Any registered rail-graph topology, behind the node's train API.
@@ -184,6 +175,9 @@ class GraphPowerTrain(PowerTrain):
         super().__init__(spec.name)
         self.spec = spec
         self.graph = RailGraph(spec)
+        self._tap_voltages = tuple(
+            self.graph.tap_voltage(channel) for channel in CHANNELS
+        )
         self._open_gates: frozenset = frozenset()
         self._component_degradations: Dict[str, float] = {}
 
@@ -284,24 +278,31 @@ class GraphPowerTrain(PowerTrain):
         )
 
     def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:
-        result = self.solve_graph(v_battery, loads)
-        return self._finish(TrainSolution(
-            v_battery=v_battery,
-            i_battery=result.i_source,
-            v_mcu_rail=self.mcu_rail_voltage(),
-            subsystem_power=self._subsystem_power(loads),
-        ))
-
-    def _subsystem_power(self, loads: LoadState) -> Dict[str, float]:
+        # The same solve as solve_graph, minus the objects it would build
+        # and this method would discard: only the source current is used.
+        self._check_radio_load(loads)
+        i_mcu, i_sensor = loads.i_mcu, loads.i_sensor
+        i_digital, i_rf = loads.i_radio_digital, loads.i_radio_rf
+        i_battery = solve_scalar(
+            self.graph, v_battery, i_mcu, i_sensor, i_digital, i_rf,
+            self._open_gates, self._component_degradations,
+        )[0]
+        if self._loss_factor != 1.0:
+            i_battery = i_battery * self._loss_factor
         # Attribution uses each channel's own tap voltage, so topologies
         # with non-paper rail voltages stay correctly accounted.
-        tap = self.graph.tap_voltage
-        return {
-            "mcu": tap("mcu") * loads.i_mcu,
-            "sensor": tap("sensor") * loads.i_sensor,
-            "radio-digital": tap("radio-digital") * loads.i_radio_digital,
-            "radio-rf": tap("radio-rf") * loads.i_radio_rf,
-        }
+        v_mcu, v_sensor, v_digital, v_rf = self._tap_voltages
+        return TrainSolution(
+            v_battery=v_battery,
+            i_battery=i_battery,
+            v_mcu_rail=v_mcu,
+            subsystem_power={
+                "mcu": v_mcu * i_mcu,
+                "sensor": v_sensor * i_sensor,
+                "radio-digital": v_digital * i_digital,
+                "radio-rf": v_rf * i_rf,
+            },
+        )
 
 
 class CotsPowerTrain(GraphPowerTrain):

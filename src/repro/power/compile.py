@@ -1,4 +1,5 @@
-"""Plan-compiled fused kernels for :meth:`RailGraph.solve_batch`.
+"""Plan-compiled kernels for :meth:`RailGraph.solve_batch` and
+:meth:`RailGraph.solve`.
 
 The batched solver in :mod:`repro.power.graph` walks the precomputed
 dispatch plan in interpreted Python: one dynamic dispatch, one gate
@@ -44,6 +45,15 @@ generated kernel source on disk (content-addressed filenames); a warm
 process then ``exec``'s the stored artifact, and the first-use bitwise
 verification keeps even a stale or corrupted artifact safe.
 
+**The scalar target.**  The same plan also compiles to straight-line
+Python-float source, one ``_scalar`` function per (plan digest, open-gate
+set): :func:`solve_scalar` serves ``RailGraph.solve`` and
+``GraphPowerTrain.solve`` from it.  It keeps every check of the
+interpreted walk, declines to the walk wherever the walk would raise, is
+compared with the walk by ``float.hex`` on first use, and is retired for
+good on any divergence (see ``docs/POWER.md``).  Scalar kernels stay in
+memory; they are not written to the source cache.
+
 This module is the **only** place in the tree allowed to call ``exec``
 (lint rule DET004 enforces that); the generated source can be inspected
 with ``python -m repro train --solve KIND --emit-kernel``.
@@ -68,7 +78,7 @@ from ..errors import ConfigurationError, ElectricalError
 from ..runner.cache import MemoCache
 from ..runner.cacheroot import resolve_cache_dir
 from .charge_pump import RegulatedChargePump
-from .graph import FrozenMapping, GraphSolutionBatch, RailGraph
+from .graph import CHANNELS, FrozenMapping, GraphSolutionBatch, RailGraph
 from .linear_regulator import LinearRegulator
 from .sc_converter import SwitchedCapacitorConverter
 from .shunt_regulator import ShuntRegulator
@@ -98,20 +108,26 @@ __all__ = [
     "GATE_MASK",
     "GATE_OPEN",
     "KERNEL_CODE_VERSION",
+    "SCALAR_PARAMS",
     "CompiledKernel",
     "KernelMetrics",
     "KernelUnsupported",
+    "ScalarKernel",
     "clear_kernel_cache",
     "compiled_kernel_for",
+    "compiled_scalar_kernel_for",
     "gate_signature",
     "generate_kernel_source",
+    "generate_scalar_kernel_source",
     "iter_registered_kernel_sources",
     "kernel_cache_stats",
     "kernel_metrics",
     "kernel_source",
     "reset_kernel_metrics",
+    "scalar_kernel_source",
     "solve_batch_compiled",
     "solve_batch_fast",
+    "solve_scalar",
 ]
 
 
@@ -202,7 +218,36 @@ class KernelMetrics:
     fallbacks: int
     #: Plans the compiler refused (no emitter / bad source).
     unsupported: int
+    #: Scalar kernels built (see :func:`solve_scalar`).  The scalar
+    #: counters below record only rare events, never per-solve work.
+    scalar_compiles: int
+    #: First-use comparisons of a scalar kernel against the interpreter.
+    scalar_verifications: int
+    #: Scalar kernels retired for diverging from the interpreter.
+    scalar_mismatches: int
+    #: Scalar solves handed to the interpreter, one counter per reason:
+    #: a disabled converter, a retired or unbuildable kernel, or an
+    #: operating point outside some stage's envelope (the interpreter
+    #: then raises the reference error).
+    scalar_fallbacks_disabled_converter: int
+    scalar_fallbacks_failed_kernel: int
+    scalar_fallbacks_envelope: int
 
+    @property
+    def scalar_fallbacks(self) -> Dict[str, int]:
+        """Scalar fallbacks by reason."""
+        return {
+            "disabled-converter": self.scalar_fallbacks_disabled_converter,
+            "failed-kernel": self.scalar_fallbacks_failed_kernel,
+            "envelope": self.scalar_fallbacks_envelope,
+        }
+
+
+#: Counter names of the scalar target, as kept in the metrics registry.
+_SCALAR_COUNTERS = tuple(
+    field.name for field in dataclasses.fields(KernelMetrics)
+    if field.name.startswith("scalar_")
+)
 
 def kernel_metrics() -> KernelMetrics:
     """Current process-wide compiled-path counters."""
@@ -216,6 +261,7 @@ def kernel_metrics() -> KernelMetrics:
             mismatches=get("mismatches", 0),
             fallbacks=get("fallbacks", 0),
             unsupported=get("unsupported", 0),
+            **{name: get(name, 0) for name in _SCALAR_COUNTERS},
         )
 
 
@@ -229,6 +275,7 @@ def clear_kernel_cache() -> None:
     """Drop every compiled kernel (they recompile on next use)."""
     _KERNELS.clear()
     _FAST_CONTEXTS.clear()
+    _SCALAR_CONTEXTS.clear()
 
 
 def kernel_cache_stats():
@@ -658,6 +705,12 @@ def iter_registered_kernel_sources():
     structural invariants; keeping enumeration here means the auditor
     never has to know how plans, signatures, or gates are spelled.
 
+    Each topology's scalar kernels follow its batch kernels, one per
+    open-gate subset: their sources define ``_scalar`` instead of
+    ``_kernel``, their signatures hold only open/closed states, and
+    their guard names are empty (a scalar kernel hands off to the
+    interpreter instead of calling stage guards).
+
     Pure codegen: no caching, no ``exec``.  A plan the compiler has no
     emitter for yields ``(kind, signature, None, reason)`` instead of
     raising, so one unsupported topology never hides the rest of the
@@ -680,6 +733,17 @@ def iter_registered_kernel_sources():
                 yield kind, signature, None, str(exc)
                 continue
             yield kind, signature, source, guard_names
+        for combo in itertools.product((GATE_OPEN, GATE_CLOSED),
+                                       repeat=len(gate_names)):
+            signature = tuple(zip(gate_names, combo))
+            open_gates = tuple(gate for gate, state in signature
+                               if state == GATE_OPEN)
+            try:
+                source, _ = generate_scalar_kernel_source(graph, open_gates)
+            except KernelUnsupported as exc:
+                yield kind, signature, None, str(exc)
+                continue
+            yield kind, signature, source, ()
 
 
 # ---------------------------------------------------------------------------
@@ -738,20 +802,23 @@ def _disk_write(key: tuple, source: str) -> None:
         pass
 
 
-def _exec_kernel(source: str, key: tuple) -> Callable:
-    """Compile and execute kernel source, returning its ``_kernel``."""
+def _exec_kernel(source: str, key: tuple, name: str = "_kernel") -> Callable:
+    """Compile and execute kernel source, returning its ``name`` def."""
     namespace = {
         "np": np,
         "ElectricalError": ElectricalError,
         "_kernel_inconsistent": _kernel_inconsistent,
+        "sqrt": math.sqrt,
+        "hypot": math.hypot,
+        "inf": math.inf,
     }
     code = compile(source, f"<railgraph-kernel {key[0][:12]}>", "exec")
     # The one sanctioned exec in the tree (lint rule DET004): the source
     # is generated above from the frozen plan, never from user input.
     exec(code, namespace)
-    fn = namespace.get("_kernel")
+    fn = namespace.get(name)
     if not callable(fn):
-        raise KernelUnsupported("kernel source defines no _kernel()")
+        raise KernelUnsupported(f"kernel source defines no {name}()")
     return fn
 
 
@@ -1093,3 +1160,422 @@ def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
         v_source=v_source, i_source=i_source,
         component_i_in=FrozenMapping._adopt(currents),
     )
+
+
+# ---------------------------------------------------------------------------
+# The scalar target: straight-line Python-float kernels behind
+# RailGraph.solve
+# ---------------------------------------------------------------------------
+
+#: Parameters of every emitted scalar kernel: the source voltage, the
+#: four channel loads in :data:`~repro.power.graph.CHANNELS` order, the
+#: degradation mapping (or ``None``), then the math helpers bound as
+#: defaults so the body reads them as fast locals.
+SCALAR_PARAMS = ("v", "i_mcu", "i_sensor", "i_radio_digital", "i_radio_rf",
+                 "factors", "_sqrt", "_hypot", "_inf")
+
+_LOAD_PARAMS = dict(zip(CHANNELS, SCALAR_PARAMS[1:5]))
+
+
+def generate_scalar_kernel_source(
+    graph: RailGraph, open_gates
+) -> Tuple[str, Tuple[str, ...]]:
+    """Emit straight-line Python-float source for one (plan, open gates).
+
+    Returns ``(source, names)``: ``names`` are the graph's component
+    names in the interpreted walk's insertion order, which the kernel
+    also returns next to its currents.  The kernel replays
+    :meth:`RailGraph._solve_interpreted` operation for operation, with
+    the same CPython float arithmetic and constants folded the way
+    :func:`generate_kernel_source` folds them (a stage under a converter
+    sees that converter's nominal rail, so its window checks and supply
+    terms are computed at codegen time).  Every check of the reference
+    stays in the source: loads finite and ``>= 0``, each stage's
+    envelope, and each component's degradation factor.  Where the
+    reference would raise, the kernel returns ``None`` and the caller
+    hands the point to the interpreter, which raises the reference
+    error.  Raises :class:`KernelUnsupported` for a converter type
+    without an emitter or a NaN constant in the plan.
+    """
+    open_set = frozenset(open_gates)
+    comp_kind = {comp.name: comp.kind for comp in graph.spec.components}
+    lines: List[str] = []
+    order: List[Tuple[str, str]] = []
+    counter = [0]
+
+    def new(prefix: str) -> str:
+        counter[0] += 1
+        return f"_{prefix}{counter[0]}"
+
+    def emit(text: str, depth: int = 0) -> None:
+        lines.append("    " * (1 + depth) + text)
+
+    def decline(condition: str, depth: int = 0) -> None:
+        emit(f"if {condition}:", depth)
+        emit("return None", depth + 1)
+
+    def lit(value) -> str:
+        """A source literal for a plan constant (ints keep their type)."""
+        if isinstance(value, float):
+            if value != value:
+                raise KernelUnsupported(
+                    f"{graph.spec.name}: NaN constant in the solve plan")
+            if math.isinf(value):
+                return "_inf" if value > 0.0 else "-_inf"
+        return repr(value)
+
+    def emit_charge_pump(conv, v_expr, s_var, v_const) -> str:
+        decline(f"{s_var} < 0.0")
+        rng = conv.input_range
+        threshold = conv.v_out + conv.headroom
+        if v_const is None:
+            decline(f"not ({lit(rng.minimum)} <= {v_expr} <= "
+                    f"{lit(rng.maximum)})")
+            # Gains are positive, so 0.0 marks "no gain regulates".
+            gain = new("g")
+            chain = "0.0"
+            for candidate in reversed(conv.gains):
+                chain = (f"{lit(candidate)} if {lit(candidate)} * {v_expr} >= "
+                         f"{lit(threshold)} else {chain}")
+            emit(f"{gain} = {chain}")
+            decline(f"{gain} == 0.0")
+        else:
+            gain = "0.0"
+            if rng.minimum <= v_const <= rng.maximum:
+                for candidate in conv.gains:
+                    if candidate * v_const >= threshold:
+                        gain = lit(candidate)
+                        break
+            if gain == "0.0":
+                emit("return None")
+        i_var = new("i")
+        emit(f"{i_var} = {gain} * {s_var} + ({lit(conv.i_snooze)} if "
+             f"{s_var} <= {lit(conv.snooze_load_threshold)} else "
+             f"{lit(conv.i_quiescent)})")
+        return i_var
+
+    def emit_sc_converter(conv, v_expr, s_var, v_const) -> str:
+        decline(f"{s_var} < 0.0")
+        ratio, v_target, r_fsl = conv.ratio, conv.v_target, conv.r_fsl
+        cap_sq = conv.analysis.cap_multiplier_sum ** 2
+        c_total = lit(conv.c_total)
+        if v_const is None:
+            decline(f"{v_expr} <= 0.0")
+            v_ideal = new("vi")
+            emit(f"{v_ideal} = {lit(ratio)} * {v_expr}")
+            decline(f"{v_ideal} <= {lit(v_target)}")
+            v_sq = new("vv")
+            emit(f"{v_sq} = {v_expr} ** 2")
+        else:
+            if v_const <= 0.0 or ratio * v_const <= v_target:
+                emit("return None")
+            v_ideal = lit(ratio * v_const)
+            v_sq = lit(v_const ** 2)
+        # PFM frequency: the floor when unloaded, else the SSL share of
+        # the impedance the headroom allows, clamped like max()/min().
+        r_needed, f_ssl, f_low, f_loaded = (new("rn"), new("fc"), new("fm"),
+                                            new("fx"))
+        f_min, f_max = lit(conv.f_min), lit(conv.f_max)
+        emit(f"if not {s_var} <= 0.0:")
+        emit(f"{r_needed} = ({v_ideal} - {lit(v_target)}) / {s_var}", 1)
+        decline(f"{r_needed} <= {lit(r_fsl)}", 1)
+        emit(f"{f_ssl} = {lit(cap_sq)} / ({c_total} * _sqrt({r_needed} ** 2"
+             f" - {lit(r_fsl ** 2)}))", 1)
+        emit(f"{f_low} = {f_min} if {f_min} > {f_ssl} else {f_ssl}", 1)
+        emit(f"{f_loaded} = {f_max} if {f_max} < {f_low} else {f_low}", 1)
+        decline(f"{v_ideal} - {s_var} * _hypot({lit(cap_sq)} / ({c_total} * "
+                f"{f_loaded}), {lit(r_fsl)}) < {lit(v_target - 1e-9)}", 1)
+        f_sw = new("fs")
+        emit(f"{f_sw} = {f_min} if {s_var} <= 0.0 else {f_loaded}")
+        i_var = new("i")
+        emit(f"{i_var} = {lit(ratio)} * {s_var} + ({f_sw} * "
+             f"{lit(conv.g_total)} * {lit(conv.tau_gate)} * {v_sq} + {f_sw} "
+             f"* {lit(conv.alpha_bottom_plate)} * {c_total} * {v_sq}) / "
+             f"{v_expr} + {lit(conv.i_controller)}")
+        return i_var
+
+    def emit_ldo(conv, v_expr, s_var, v_const) -> str:
+        decline(f"{s_var} < 0.0")
+        v_min = conv.minimum_input_voltage()
+        if v_const is None:
+            decline(f"{v_expr} < {lit(v_min)}")
+        elif v_const < v_min:
+            emit("return None")
+        decline(f"{s_var} > {lit(conv.i_max)}")
+        i_var = new("i")
+        emit(f"{i_var} = {s_var} + {lit(conv.i_ground)}")
+        return i_var
+
+    def emit_shunt(conv, v_expr, s_var, v_const) -> str:
+        decline(f"{s_var} < 0.0")
+        if v_const is None:
+            decline(f"{v_expr} <= {lit(conv.v_out)}")
+            supply = new("sup")
+            emit(f"{supply} = ({v_expr} - {lit(conv.v_out)}) / "
+                 f"{lit(conv.r_series)}")
+        else:
+            if v_const <= conv.v_out:
+                emit("return None")
+            supply = lit((v_const - conv.v_out) / conv.r_series)
+        decline(f"{supply} - {s_var} < {lit(conv.i_bias_min)}")
+        i_var = new("i")
+        emit(f"{i_var} = {supply}")
+        return i_var
+
+    emitters = (
+        (RegulatedChargePump, emit_charge_pump),
+        (SwitchedCapacitorConverter, emit_sc_converter),
+        (LinearRegulator, emit_ldo),
+        (ShuntRegulator, emit_shunt),
+    )
+
+    def emit_converter(name, conv, v_expr, s_var, v_const) -> str:
+        for cls, emitter in emitters:
+            if isinstance(conv, cls):
+                return emitter(conv, v_expr, s_var, v_const)
+        raise KernelUnsupported(
+            f"{graph.spec.name}: no scalar emitter for "
+            f"{type(conv).__name__} ({name!r})"
+        )
+
+    def branch(name: str, v_expr: str, v_const: Optional[float]) -> str:
+        gate, leak, (tag, arg) = graph._plan[name]
+        emit(f"# {name} ({comp_kind[name]})")
+        if gate is not None and gate not in open_set:
+            i_var = new("i")
+            emit(f"{i_var} = {lit(leak)}")
+        elif tag == RailGraph._TAP:
+            i_var = new("i")
+            emit(f"{i_var} = {_LOAD_PARAMS[arg]}")
+        elif tag == RailGraph._DRAIN:
+            i_var = new("i")
+            emit(f"{i_var} = {lit(arg)}")
+        elif tag == RailGraph._SWITCH:
+            i_var = child_sum(name, v_expr, v_const)
+        else:
+            v_out, converter = arg
+            s_var = child_sum(name, lit(v_out), v_out)
+            i_var = emit_converter(name, converter, v_expr, s_var, v_const)
+        factor = new("f")
+        emit("if factors:")
+        emit(f"{factor} = factors.get({name!r}, 1.0)", 1)
+        emit(f"if {factor} != 1.0:", 1)
+        emit(f"{i_var} = {i_var} * {factor}", 2)
+        order.append((name, i_var))
+        return i_var
+
+    def child_sum(name: str, v_expr: str, v_const: Optional[float]) -> str:
+        terms = [branch(child, v_expr, v_const)
+                 for child in graph._child_names[name]]
+        s_var = new("s")
+        emit(f"{s_var} = {' + '.join(['0.0'] + terms)}")
+        return s_var
+
+    decline(" or ".join(f"not 0.0 <= {param} < _inf"
+                        for param in SCALAR_PARAMS[1:5]))
+    i_source = child_sum(graph.spec.source.name, "v", None)
+    currents = tuple(var for _, var in order)
+    names = tuple(name for name, _ in order)
+    emit(f"return {i_source}, {_tuple_source(currents)}, {names!r}")
+
+    label = ", ".join(sorted(open_set)) or "none"
+    header = [
+        f'"""Scalar solve kernel: topology {graph.spec.name!r}, '
+        f'open gates [{label}], code version {KERNEL_CODE_VERSION}."""',
+        f"def _scalar({', '.join(SCALAR_PARAMS[:6])}, _sqrt=sqrt, "
+        f"_hypot=hypot, _inf=inf):",
+    ]
+    return "\n".join(header + lines) + "\n", names
+
+
+def _tuple_source(names: Tuple[str, ...]) -> str:
+    """A tuple display of local names (``repr`` would quote them)."""
+    if len(names) == 1:
+        return f"({names[0]},)"
+    return f"({', '.join(names)})"
+
+
+def scalar_kernel_source(graph: RailGraph, open_gates=frozenset()) -> str:
+    """The scalar kernel source for a graph under an open-gate set.
+
+    Inspection entry point (``--emit-kernel`` prints it after the batch
+    kernel): pure codegen, no caching, no ``exec``.
+    """
+    return generate_scalar_kernel_source(graph, _open_key(graph,
+                                                          open_gates))[0]
+
+
+@dataclasses.dataclass
+class ScalarKernel:
+    """A cached scalar kernel and its verification state."""
+
+    key: tuple
+    source: str
+    fn: Optional[Callable]
+    #: True once a call has matched the interpreter bit for bit.
+    verified: bool = False
+    #: True when retired (unbuildable, or diverged from the interpreter).
+    failed: bool = False
+    failure: Optional[str] = None
+
+
+class _ScalarContext:
+    """Per-graph state of the scalar path: the graph's converters (whose
+    ``enabled`` flags are checked per solve) and its kernels by the
+    open-gate set the caller passes."""
+
+    __slots__ = ("converters", "kernels")
+
+    def __init__(self, graph: RailGraph) -> None:
+        self.converters = tuple(graph._converters.values())
+        self.kernels: Dict[object, ScalarKernel] = {}
+
+
+#: Weakly keyed by graph like :data:`_FAST_CONTEXTS`, so kernels never
+#: land in a graph's pickled state; the kernels themselves live in the
+#: content-addressed :data:`_KERNELS`, shared by equal plans.
+_SCALAR_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _open_key(graph: RailGraph, open_gates) -> Tuple[str, ...]:
+    """The plan's gates that ``open_gates`` opens, in plan order."""
+    return tuple(gate for gate in graph._gate_names if gate in open_gates)
+
+
+def _build_scalar_kernel(graph: RailGraph, open_key: tuple,
+                         key: tuple) -> ScalarKernel:
+    try:
+        source, _ = generate_scalar_kernel_source(graph, open_key)
+        fn = _exec_kernel(source, key, name="_scalar")
+    except Exception as exc:
+        return ScalarKernel(key=key, source="", fn=None, failed=True,
+                            failure=f"scalar kernel unavailable: {exc}")
+    _bump("scalar_compiles")
+    return ScalarKernel(key=key, source=source, fn=fn)
+
+
+def compiled_scalar_kernel_for(graph: RailGraph,
+                               open_gates=frozenset()) -> ScalarKernel:
+    """The cache entry serving ``graph`` under ``open_gates`` (built on
+    first use).  Diagnostic API, like :func:`compiled_kernel_for`."""
+    return _scalar_context_and_kernel(graph, open_gates)[1]
+
+
+def _scalar_context_and_kernel(graph: RailGraph, open_gates) -> tuple:
+    ctx = _SCALAR_CONTEXTS.get(graph)
+    if ctx is None:
+        ctx = _SCALAR_CONTEXTS[graph] = _ScalarContext(graph)
+    try:
+        return ctx, ctx.kernels[open_gates]
+    except KeyError:
+        # Bounded: a caller building a fresh container per call must
+        # not grow the table without limit.
+        cacheable = len(ctx.kernels) < 64
+    except TypeError:  # an unhashable container (a set, a list)
+        cacheable = False
+    # Membership in the caller's container decides, as in the walk.
+    open_key = _open_key(graph, open_gates)
+    key = (_plan_digest(graph), open_key, KERNEL_CODE_VERSION, "scalar")
+    entry = _KERNELS.get_or_compute(
+        key, lambda: _build_scalar_kernel(graph, open_key, key))
+    if cacheable:
+        ctx.kernels[open_gates] = entry
+    return ctx, entry
+
+
+def _retire(entry: ScalarKernel, failure: str) -> None:
+    entry.failed = True
+    entry.failure = failure
+    _bump("scalar_mismatches")
+
+
+def _as_scalar_result(solution) -> tuple:
+    currents = solution.component_i_in
+    return solution.i_source, tuple(currents.values()), tuple(currents)
+
+
+def _same_bits(a, b) -> bool:
+    return type(a) is type(b) and float(a).hex() == float(b).hex()
+
+
+def solve_scalar(graph: RailGraph, v, i_mcu, i_sensor, i_radio_digital,
+                 i_radio_rf, open_gates, degradation, loads=None) -> tuple:
+    """One quasi-static solve: ``(i_source, currents, names)``.
+
+    The default path behind ``RailGraph.solve`` and
+    ``GraphPowerTrain.solve``: ``currents`` are the per-component input
+    currents in the order of ``names`` (the interpreted walk's insertion
+    order).  ``loads`` is the caller's channel mapping when it has one;
+    the interpreter gets it (or a dict of the four channel loads) so its
+    errors come out in the caller's order.
+
+    The compiled kernel serves the call unless a converter is disabled,
+    the kernel is retired, or the point is outside some stage's envelope
+    (the kernel declines; the interpreter then raises the reference
+    error).  Each kernel's first served call is compared by
+    ``float.hex`` and order against the interpreter; any divergence, and
+    any decline the interpreter does not confirm with an error, retires
+    the kernel for good.  Only these rare events touch the counters.
+    """
+    ctx = _SCALAR_CONTEXTS.get(graph)
+    try:
+        entry = ctx.kernels[open_gates]
+    except (AttributeError, KeyError, TypeError):
+        ctx, entry = _scalar_context_and_kernel(graph, open_gates)
+    out = None
+    if entry.failed:
+        reason = "scalar_fallbacks_failed_kernel"
+    else:
+        reason = "scalar_fallbacks_envelope"
+        for converter in ctx.converters:
+            # enable()/disable() mutate state the kernel bakes in.
+            if not converter.enabled:
+                reason = "scalar_fallbacks_disabled_converter"
+                break
+        else:
+            # Bad degradation keys leave out None: the interpreter
+            # raises the key error, after any load error, as it would.
+            if not degradation or graph._component_set.issuperset(
+                    degradation):
+                try:
+                    out = entry.fn(v, i_mcu, i_sensor, i_radio_digital,
+                                   i_radio_rf, degradation)
+                except Exception:
+                    pass  # the interpreter decides what is raised
+            if out is not None and entry.verified:
+                return out
+    if loads is None:
+        loads = dict(zip(CHANNELS, (i_mcu, i_sensor, i_radio_digital,
+                                    i_radio_rf)))
+    if out is not None:  # served, but not yet verified
+        return _verify_scalar(graph, entry, out, v, loads, open_gates,
+                              degradation)
+    _bump(reason)
+    solution = graph._solve_interpreted(v, loads, open_gates, degradation)
+    if reason == "scalar_fallbacks_envelope":
+        _retire(entry, "kernel declined an operating point the "
+                       "interpreter solves")
+    return _as_scalar_result(solution)
+
+
+def _verify_scalar(graph, entry, out, v, loads, open_gates,
+                   degradation) -> tuple:
+    """First served call of a kernel: compare it with the interpreter."""
+    try:
+        reference = graph._solve_interpreted(v, loads, open_gates,
+                                             degradation)
+    except Exception:
+        _retire(entry, "kernel solved an operating point the interpreter "
+                       "rejects")
+        raise
+    _bump("scalar_verifications")
+    expected = _as_scalar_result(reference)
+    i_source, currents, names = out
+    if not (_same_bits(i_source, expected[0]) and names == expected[2]
+            and len(currents) == len(expected[1])
+            and all(map(_same_bits, currents, expected[1]))):
+        _retire(entry, "kernel result diverged bitwise from the "
+                       "interpreter")
+        return expected
+    entry.verified = True
+    return out

@@ -687,7 +687,37 @@ class RailGraph:
         keys must name graph components).  Raises
         :class:`~repro.errors.ElectricalError` (from the component
         models) when any stage is out of its operating envelope.
+
+        The solve runs through a straight-line kernel compiled from the
+        plan (:func:`repro.power.compile.solve_scalar`), checked bit for
+        bit against the interpreted walk on first use; the walk
+        (:meth:`_solve_interpreted`) stays the reference and raises
+        every error.
         """
+        taps = self._taps
+        for channel in loads:
+            if channel not in taps:
+                return self._solve_interpreted(v_source, loads, open_gates,
+                                               degradation)
+        get = loads.get
+        i_source, currents, names = _compile_module().solve_scalar(
+            self, v_source, get("mcu", 0.0), get("sensor", 0.0),
+            get("radio-digital", 0.0), get("radio-rf", 0.0), open_gates,
+            degradation, loads,
+        )
+        return GraphSolution(
+            v_source=v_source, i_source=i_source,
+            component_i_in=FrozenMapping._adopt(dict(zip(names, currents))),
+        )
+
+    def _solve_interpreted(
+        self,
+        v_source: float,
+        loads: Mapping[str, float],
+        open_gates: FrozenSet[str] = frozenset(),
+        degradation: Optional[Mapping[str, float]] = None,
+    ) -> GraphSolution:
+        """The plan-walking solve: the scalar kernels' reference."""
         for channel, amps in loads.items():
             if channel not in self._taps:
                 raise ConfigurationError(

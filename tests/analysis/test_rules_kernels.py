@@ -144,3 +144,86 @@ def test_kernel_findings_have_stable_synthetic_paths(sample_kernel):
     assert [f.fingerprint for f in first] == [f.fingerprint
                                              for f in second]
     assert all(f.path.startswith(f"<kernel:{kind}:") for f in first)
+
+
+# -- the scalar target -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def scalar_kernel():
+    """One real emitted scalar kernel (kind, signature, source)."""
+    for kind, sig, source, guards in iter_registered_kernel_sources():
+        if source is not None and "def _scalar(" in source:
+            assert guards == ()
+            return kind, sig, source
+    raise AssertionError("the registry emits no scalar kernel")
+
+
+def _scalar_findings(scalar_kernel, source):
+    kind, sig, _ = scalar_kernel
+    return audit_kernel_source(kind, sig, source)
+
+
+def test_scalar_kernel_audits_clean_with_its_own_path(scalar_kernel):
+    kind, sig, source = scalar_kernel
+    assert _scalar_findings(scalar_kernel, source) == []
+    corrupted = source.replace("factors", "weights", 1)
+    findings = _scalar_findings(scalar_kernel, corrupted)
+    assert any(f.rule_id == "KER001" and "signature" in f.message
+               for f in findings)
+    assert all(f.path.startswith(f"<scalar-kernel:{kind}:")
+               for f in findings)
+
+
+def test_scalar_rebound_local_fails(scalar_kernel):
+    source = scalar_kernel[2]
+    lines = source.rstrip().splitlines()
+    # Rebind the first current local without reading it.
+    for index, line in enumerate(lines):
+        text = line.strip()
+        if text.startswith("_i") and " = " in text:
+            name = text.split(" = ")[0]
+            lines.insert(index + 1, f"    {name} = 0.0")
+            break
+    findings = _scalar_findings(scalar_kernel, "\n".join(lines) + "\n")
+    assert any(f.rule_id == "KER001" and "rebound" in f.message
+               for f in findings)
+
+
+def test_scalar_early_exit_must_decline(scalar_kernel):
+    source = scalar_kernel[2].replace("return None", "return 0.0", 1)
+    findings = _scalar_findings(scalar_kernel, source)
+    assert any(f.rule_id == "KER001" and "return None" in f.message
+               for f in findings)
+
+
+def test_scalar_final_return_shape(scalar_kernel):
+    lines = scalar_kernel[2].rstrip().splitlines()
+    final = lines[-1]
+    # Drop the last component name: one current would have no name.
+    lines[-1] = final[:final.rindex(",")] + ")"
+    findings = _scalar_findings(scalar_kernel, "\n".join(lines) + "\n")
+    assert any(f.rule_id == "KER001" and "one current per name"
+               in f.message for f in findings)
+
+
+def test_scalar_kernel_must_not_use_numpy(scalar_kernel):
+    lines = scalar_kernel[2].rstrip().splitlines()
+    lines.insert(2, "    _x0 = _np.sqrt(v)")
+    findings = _scalar_findings(scalar_kernel, "\n".join(lines) + "\n")
+    assert any(f.rule_id == "KER001" and "numpy" in f.message
+               for f in findings)
+
+
+@pytest.mark.parametrize("line,needle", [
+    ("    import os", "import"),
+    ("    _t = time.time()", "wall clock"),
+    ("    eval('1+1')", None),
+])
+def test_scalar_kernel_hygiene(scalar_kernel, line, needle):
+    lines = scalar_kernel[2].rstrip().splitlines()
+    lines.insert(2, line)
+    findings = _scalar_findings(scalar_kernel, "\n".join(lines) + "\n")
+    assert any(f.rule_id == "KER002"
+               and (needle is None or needle in f.message)
+               for f in findings)

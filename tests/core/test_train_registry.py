@@ -155,6 +155,8 @@ def test_cli_train_emit_kernel_prints_fused_source(capsys):
     out = capsys.readouterr().out
     assert "def _kernel(" in out
     assert "gates [radio=closed]" in out
+    assert "def _scalar(" in out
+    assert "open gates [none]" in out
 
 
 def test_cli_train_emit_kernel_reflects_gate_state(capsys):
@@ -164,6 +166,7 @@ def test_cli_train_emit_kernel_reflects_gate_state(capsys):
                      "--i-radio-rf", "4e-3"]) == 0
     out = capsys.readouterr().out
     assert "gates [radio=open]" in out
+    assert "open gates [radio]" in out
 
 
 def test_cli_audit_accepts_exploratory_trains(capsys):

@@ -1,12 +1,12 @@
 """Plan-compiled kernels for :meth:`RailGraph.solve_batch` and
 :meth:`RailGraph.solve`.
 
-The batched solver in :mod:`repro.power.graph` walks the precomputed
-dispatch plan in interpreted Python: one dynamic dispatch, one gate
-check, and a handful of short-lived temporaries per component per call.
-At fleet scale (``net/cohort.py``'s advance chain, ``sim/fleet_engine``,
-``topology_sweep_campaign``) that walk overhead dominates the actual
-numpy arithmetic.  This module removes it by *compiling the plan*:
+A rail graph's solve is a walk over a precomputed dispatch plan.  Walked
+in interpreted Python, that costs one dynamic dispatch, one gate check
+and a handful of temporaries per component per call; at fleet scale
+(``net/cohort.py``'s advance chain, ``sim/fleet_engine``,
+``topology_sweep_campaign``) the walk overhead dominates the arithmetic.
+This module removes it by *compiling the plan*:
 
 * :func:`generate_kernel_source` turns a ``RailGraph``'s plan plus a
   **gate signature** (each gate group resolved to uniformly-open,
@@ -18,27 +18,31 @@ numpy arithmetic.  This module removes it by *compiling the plan*:
   a content-addressed cache (a :class:`repro.runner.cache.MemoCache`)
   keyed on ``(plan hash, gate signature, code version)``, so every graph
   built from an equal spec shares one kernel per signature;
-* :func:`solve_batch_compiled` is the fast path behind
-  ``RailGraph.solve_batch(compiled=True)``.
+* :func:`solve_batch_compiled` and :func:`solve_batch_fast` serve
+  ``RailGraph.solve_batch`` from those kernels.
 
-**Bit-exactness contract.**  The scalar solver and its 440 float-hex
-goldens remain the authority; the interpreted batch walk mirrors it
-within :data:`repro.power.graph.ULP_BUDGET` ulps; and compiled kernels
-must match the interpreted walk **bitwise** — the generated source
-replays the exact operation sequence (declaration-order summation
-accumulating from a zeros seed, cascades solved at the parent's nominal
-rail, constants pre-folded only where scalar CPython would fold them).
-The first call through each cached kernel runs both paths and compares
-every output array byte-for-byte; any divergence permanently marks the
-kernel failed, falls back to the interpreted walk, and is surfaced in
-:func:`kernel_metrics`.
+**The batch contract.**  ``solve_batch`` returns, bit for bit, what a
+loop of scalar ``RailGraph.solve`` calls over the points returns, and
+raises what that loop raises.  Its one reference is that loop, run as
+:meth:`RailGraph._solve_points` (the interpreted scalar walk per point,
+which the 440 float-hex goldens pin).  The generated source replays the
+walk's operation sequence (declaration-order summation accumulating
+from a zeros seed, cascades solved at the parent's nominal rail,
+constants pre-folded only where scalar CPython would fold them).  The
+first call through each cached kernel that has at least one point runs
+both and compares every output array byte-for-byte and in insertion
+order; any divergence permanently marks the kernel failed, and the
+reference serves that call and every later one.  Calls no kernel can
+serve (a disabled converter, an unsupported plan, a failed kernel) run
+the reference too, counted by reason in :func:`kernel_metrics`.
 
-**Error parity.**  Envelope checks are hoisted, but each converter's
-per-point ``bad`` mask (with ancestor gate masks folded in) is kept
-alive; on ``_bad.any()`` the kernel invokes the converters'
-``_batch_guard`` in walk order, so batch callers see the identical
-scalar :class:`~repro.errors.ElectricalError` the interpreted walk
-raises — first failing component in walk order, lowest failing index.
+**Errors.**  A kernel calls no converter code: each stage's envelope
+mask (with ancestor gate masks folded in) is OR-ed into ``_bad``, and
+on ``_bad.any()`` the kernel reports the lowest flagged point.  The
+caller re-solves that point with the reference, which raises the
+scalar :class:`~repro.errors.ElectricalError` — the error the loop
+raises first.  Should the reference accept the point, an
+``ElectricalError`` reports the inconsistency; no value is returned.
 
 Set the :data:`CACHE_DIR_ENV` environment variable to also persist
 generated kernel source on disk (content-addressed filenames); a warm
@@ -70,11 +74,11 @@ import re
 import threading
 import weakref
 from collections.abc import Mapping as MappingABC
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, ElectricalError
+from ..errors import ElectricalError
 from ..runner.cache import MemoCache
 from ..runner.cacheroot import resolve_cache_dir
 from .charge_pump import RegulatedChargePump
@@ -86,7 +90,7 @@ from .shunt_regulator import ShuntRegulator
 #: Bump when the generated source or the interpreted walk changes shape:
 #: it keys the kernel cache, so old in-memory and on-disk artifacts are
 #: never matched against a newer plan walk.
-KERNEL_CODE_VERSION = 3
+KERNEL_CODE_VERSION = 4
 
 #: Environment variable naming a directory for the persistent source
 #: cache (used by CI's cold/warm equivalence check).  This is a
@@ -135,6 +139,14 @@ class KernelUnsupported(Exception):
     """The plan contains a component this compiler has no emitter for."""
 
 
+class _OutOfEnvelope(Exception):
+    """Raised by a batch kernel: ``index`` is its lowest flagged point."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(index)
+        self.index = index
+
+
 def _min_satisfying_v(scale: float, target: float) -> Optional[float]:
     """Smallest float ``x`` with ``fl(scale * x) >= target``, or ``None``.
 
@@ -174,11 +186,9 @@ class CompiledKernel:
     key: tuple
     source: str
     fn: Optional[Callable]
-    #: Converter component names whose ``_batch_guard`` the kernel calls
-    #: (in walk order) when a batch point is out of envelope.
-    guard_names: Tuple[str, ...]
-    #: True once a call has compared bitwise-equal to the interpreted
-    #: walk; until then every call runs both paths.
+    #: True once a call of at least one point has compared bitwise-equal
+    #: to the per-point scalar reference; until then every call runs
+    #: both.
     verified: bool = False
     #: True when the kernel is permanently out of service (unsupported
     #: plan, bad artifact, or a bitwise mismatch); callers fall back.
@@ -209,13 +219,19 @@ class KernelMetrics:
     disk_loads: int
     #: Batch solves served by a compiled kernel.
     kernel_solves: int
-    #: First-use bitwise comparisons against the interpreted walk.
+    #: First-use bitwise comparisons against the per-point reference.
     verifications: int
     #: Verifications that diverged (kernel permanently failed).
     mismatches: int
-    #: Solves that fell back to the interpreted walk (disabled
-    #: converters, failed kernels, unexpected runtime errors).
+    #: Batch solves served by the per-point reference instead of a
+    #: kernel: the total of the two counters below.
     fallbacks: int
+    #: ... because a converter was disabled (kernels bake in the
+    #: enabled state) ...
+    batch_fallbacks_disabled_converter: int
+    #: ... or because the kernel is out of service (unsupported plan,
+    #: bad source, a failed verification, an unexpected runtime error).
+    batch_fallbacks_failed_kernel: int
     #: Plans the compiler refused (no emitter / bad source).
     unsupported: int
     #: Scalar kernels built (see :func:`solve_scalar`).  The scalar
@@ -234,6 +250,14 @@ class KernelMetrics:
     scalar_fallbacks_envelope: int
 
     @property
+    def batch_fallbacks(self) -> Dict[str, int]:
+        """Batch fallbacks by reason (they sum to :attr:`fallbacks`)."""
+        return {
+            "disabled-converter": self.batch_fallbacks_disabled_converter,
+            "failed-kernel": self.batch_fallbacks_failed_kernel,
+        }
+
+    @property
     def scalar_fallbacks(self) -> Dict[str, int]:
         """Scalar fallbacks by reason."""
         return {
@@ -243,26 +267,23 @@ class KernelMetrics:
         }
 
 
-#: Counter names of the scalar target, as kept in the metrics registry.
-_SCALAR_COUNTERS = tuple(
+#: Counter names as kept in the metrics registry (the batch fallback
+#: total is derived, not counted).
+_COUNTERS = tuple(
     field.name for field in dataclasses.fields(KernelMetrics)
-    if field.name.startswith("scalar_")
+    if field.name != "fallbacks"
 )
+
 
 def kernel_metrics() -> KernelMetrics:
     """Current process-wide compiled-path counters."""
     with _METRICS_LOCK:
-        get = _METRICS.get
-        return KernelMetrics(
-            compiles=get("compiles", 0),
-            disk_loads=get("disk_loads", 0),
-            kernel_solves=get("kernel_solves", 0),
-            verifications=get("verifications", 0),
-            mismatches=get("mismatches", 0),
-            fallbacks=get("fallbacks", 0),
-            unsupported=get("unsupported", 0),
-            **{name: get(name, 0) for name in _SCALAR_COUNTERS},
-        )
+        counts = {name: _METRICS.get(name, 0) for name in _COUNTERS}
+    return KernelMetrics(
+        fallbacks=(counts["batch_fallbacks_disabled_converter"]
+                   + counts["batch_fallbacks_failed_kernel"]),
+        **counts,
+    )
 
 
 def reset_kernel_metrics() -> None:
@@ -294,7 +315,7 @@ def gate_signature(graph: RailGraph, gates: Dict[str, object]) -> tuple:
     ``gates`` is the output of ``RailGraph._normalize_gates``: gate name
     to ``True`` (uniformly open), ``False`` (uniformly closed), or a
     boolean per-point mask.  Gates absent from the mapping are closed,
-    matching the interpreted walk's ``gates.get(gate, False)``.
+    as in the scalar walk.
     """
     signature = []
     for gate in graph._gate_names:
@@ -326,31 +347,23 @@ def _normalize_gate_input(graph: RailGraph, open_gates) -> Dict[str, object]:
     return graph._normalize_gates(open_gates, shape)
 
 
-def generate_kernel_source(
-    graph: RailGraph, signature: tuple
-) -> Tuple[str, Tuple[str, ...]]:
+def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
     """Emit straight-line fused source for one (plan, signature) pair.
 
-    Returns ``(source, guard_names)`` where ``guard_names`` lists the
-    converter components whose bound ``_batch_guard`` methods the caller
-    must pass (in order) as the kernel's ``guards`` argument.  Raises
-    :class:`KernelUnsupported` when the plan holds a converter type this
-    compiler has no emitter for.
+    Raises :class:`KernelUnsupported` when the plan holds a converter
+    type this compiler has no emitter for.
 
     The emitted operation sequence replays the interpreted walk exactly
     (see the module docstring), with two safe strengthenings: scalar
     constants that the interpreted path computes with CPython float
     arithmetic are pre-folded at codegen time using the *same* CPython
     operations, and per-stage envelope masks are OR-merged into a single
-    hoisted ``_bad.any()`` check whose failure path calls the stage
-    guards in walk order.
+    hoisted ``_bad.any()`` check that reports the lowest flagged point.
     """
     states = dict(signature)
     comp_kind = {comp.name: comp.kind for comp in graph.spec.components}
     lines: List[str] = []
     order: List[Tuple[str, str]] = []       # currents insertion order
-    guard_names: List[str] = []
-    guard_calls: List[Tuple[str, str, str]] = []
     counter = [0]
     bad_seen = [False]
     uses_errstate = [False]
@@ -369,8 +382,8 @@ def generate_kernel_source(
         ``_z + value`` reproduces ``np.full(shape, value)`` bitwise
         (IEEE ``0.0 + x == x``) at less than half the cost — except for
         ``-0.0`` and NaN payloads, which keep the literal ``np.full``.
-        A plain zero is the zeros seed itself: the interpreted walk
-        already shares one zeros array between all-zero components.
+        A plain zero is the zeros seed itself, shared between all-zero
+        components.
         """
         if value != value or (value == 0.0
                               and math.copysign(1.0, value) < 0.0):
@@ -386,19 +399,16 @@ def generate_kernel_source(
         else:
             emit(f"_bad = _bad | {bad}")
 
-    def guard(name: str, v_expr: str, i_expr: str, bad: str,
-              active: Optional[str]) -> None:
-        # The interpreted _batch_guard folds the active mask itself;
-        # here it is folded at the call site so the hoisted _bad carries
-        # exactly the points the interpreted walk would raise on.
+    def flag(bad: str, active: Optional[str]) -> None:
+        # Fold in the ancestor gate mask, so the hoisted _bad carries
+        # exactly the points whose scalar walk reaches (and rejects)
+        # this stage.
         if active is not None:
             folded = new("bg")
             emit(f"{folded} = {bad} & {active}")
         else:
             folded = bad
         accumulate_bad(folded)
-        guard_names.append(name)
-        guard_calls.append((v_expr, i_expr, folded))
 
     def emit_charge_pump(name, conv, v_expr, s_var, active, v_const):
         bad = new("b")
@@ -434,7 +444,7 @@ def generate_kernel_source(
                      f"({cand!r} * {v_expr} >= {threshold!r}), "
                      f"{cand!r}, {gain})")
         emit(f"{bad} = {bad} | ({gain} == 0.0)")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         house = new("h")
         emit(f"{house} = _np.where({s_var} <= {conv.snooze_load_threshold!r},"
              f" {conv.i_snooze!r}, {conv.i_quiescent!r})")
@@ -444,8 +454,8 @@ def generate_kernel_source(
 
     def emit_sc_converter(name, conv, v_expr, s_var, active, v_const):
         # Only the SC stage divides/sqrts through possibly-invalid
-        # intermediates (its interpreted solve_batch runs under its own
-        # errstate); plans without one skip the errstate context.
+        # intermediates (garbage at points its envelope mask flags);
+        # plans without one skip the errstate context.
         uses_errstate[0] = True
         bad = new("b")
         emit(f"{bad} = ({s_var} < 0.0) | ({v_expr} <= 0.0)")
@@ -476,7 +486,7 @@ def generate_kernel_source(
         v_sag = new("vs")
         emit(f"{v_sag} = {v_ideal} - {s_var} * {r_out}")
         emit(f"{bad} |= {loaded} & ({v_sag} < {conv.v_target - 1e-9!r})")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         v_sq = new("vv")
         emit(f"{v_sq} = {v_expr} ** 2")
         p_gate = new("pg")
@@ -492,10 +502,10 @@ def generate_kernel_source(
 
     def emit_ldo(name, conv, v_expr, s_var, active, v_const):
         # Under a converter rail the input voltage is one compile-time
-        # constant at every point (the interpreted walk broadcasts it),
-        # so its window comparison folds to a scalar bool: OR-ing a
-        # Python bool into a bool array is elementwise-identical to
-        # OR-ing the comparison of the broadcast rail.
+        # constant at every point, so its window comparison folds to a
+        # scalar bool: OR-ing a Python bool into a bool array is
+        # elementwise-identical to OR-ing the comparison of a broadcast
+        # rail.
         bad = new("b")
         v_min = conv.minimum_input_voltage()
         if v_const is None:
@@ -505,7 +515,7 @@ def generate_kernel_source(
         else:
             emit(f"{bad} = {s_var} < 0.0")
         emit(f"{bad} |= {s_var} > {conv.i_max!r}")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         i_var = new("i")
         emit(f"{i_var} = {s_var} + {conv.i_ground!r}")
         return i_var
@@ -532,7 +542,7 @@ def generate_kernel_source(
         shunted = new("sh")
         emit(f"{shunted} = {supply_expr} - {s_var}")
         emit(f"{bad} |= {shunted} < {conv.i_bias_min!r}")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         i_var = new("i")
         emit(f"{i_var} = {supply}")
         return i_var
@@ -598,8 +608,8 @@ def generate_kernel_source(
                 v_out, converter = arg
                 v_rail = new("vr")
                 # The nominal-rail array is only materialized when some
-                # descendant expression (or guard call) actually reads
-                # it — resolved after the whole body is emitted.
+                # descendant expression actually reads it — resolved
+                # after the whole body is emitted.
                 rail_at = len(lines)
                 s_var = child_sum(name, v_rail, child_active, v_out)
                 i_var = emit_converter(name, converter, v_expr, s_var,
@@ -634,53 +644,36 @@ def generate_kernel_source(
         seed = "_z" if index == 0 else "_i_src"
         emit(f"_i_src = {seed} + {c_var}")
 
-    guard_at = None
-    if guard_calls:
-        guard_at = len(lines)
+    if bad_seen[0]:
         emit("if _bad.any():")
-        for idx, (v_expr, i_expr, bad) in enumerate(guard_calls):
-            emit(f"guards[{idx}]({v_expr}, {i_expr}, {bad}, None)", depth=1)
-        emit("raise _kernel_inconsistent()", depth=1)
+        emit("raise _out_of_envelope(int(_bad.argmax()))", depth=1)
     currents = ", ".join(f"{name!r}: {var}" for name, var in order)
     emit(f"return _i_src, {{{currents}}}")
 
-    # Materialize only the nominal-rail arrays some later line reads
-    # (a converter whose children are all taps or closed gates never
-    # touches its rail), and when the sole readers are the cold-path
-    # stage-guard calls — the usual case after constant-rail folding —
-    # materialize inside the ``_bad.any()`` block so the hot path never
-    # pays for it.  Reverse order keeps earlier insert points valid
-    # while later insertions shift down.
+    # Materialize only the nominal-rail arrays some later line reads (a
+    # converter whose children are all taps, closed gates, or stages
+    # folded onto the constant rail never touches it).  Reverse order
+    # keeps earlier insert points valid while later insertions shift
+    # down.
     for rail_at, v_rail, v_out in sorted(deferred_rails, reverse=True):
         pattern = re.compile(re.escape(v_rail) + r"\b")
-        first_use = next(
-            (idx for idx in range(rail_at, len(lines))
-             if pattern.search(lines[idx])),
-            None,
-        )
-        if first_use is None:
-            continue
-        text = f"{v_rail} = {const_array(v_out)}"
-        if guard_at is not None and first_use > guard_at:
-            lines.insert(guard_at + 1, "    " * 3 + text)
-        else:
-            lines.insert(rail_at, "    " * 2 + text)
-            if guard_at is not None and rail_at <= guard_at:
-                guard_at += 1
+        if any(pattern.search(line) for line in lines[rail_at:]):
+            lines.insert(rail_at,
+                         "    " * 2 + f"{v_rail} = {const_array(v_out)}")
 
     sig_text = ", ".join(f"{gate}={state}" for gate, state in signature)
     header = [
         f'"""Fused solve_batch kernel: topology {graph.spec.name!r}, '
         f'gates [{sig_text or "none"}], '
         f'code version {KERNEL_CODE_VERSION}."""',
-        "def _kernel(v, loads, masks, factors, guards, shape, _np=np):",
+        "def _kernel(v, loads, masks, factors, shape, _np=np):",
     ]
     if uses_errstate[0]:
         header.append('    with _np.errstate(divide="ignore", '
                       'invalid="ignore", over="ignore"):')
     else:
         lines = [line[4:] for line in lines]
-    return "\n".join(header + lines) + "\n", tuple(guard_names)
+    return "\n".join(header + lines) + "\n"
 
 
 def kernel_source(graph: RailGraph, open_gates=frozenset()) -> str:
@@ -691,14 +684,14 @@ def kernel_source(graph: RailGraph, open_gates=frozenset()) -> str:
     same frozenset-or-mapping forms as :meth:`RailGraph.solve_batch`.
     """
     gates = _normalize_gate_input(graph, open_gates)
-    return generate_kernel_source(graph, gate_signature(graph, gates))[0]
+    return generate_kernel_source(graph, gate_signature(graph, gates))
 
 
 def iter_registered_kernel_sources():
     """Every kernel this compiler can emit for the registered topologies.
 
-    Yields ``(kind, signature, source, guard_names)`` for each
-    registered rail topology crossed with every gate-state combination
+    Yields ``(kind, signature, source, failure)`` for each registered
+    rail topology crossed with every gate-state combination
     (open/closed/mask per gate) — the full space the runtime kernel
     cache can ever hold.  The lint kernel auditor
     (``repro lint --kernels``) parses each emitted source and checks the
@@ -707,14 +700,13 @@ def iter_registered_kernel_sources():
 
     Each topology's scalar kernels follow its batch kernels, one per
     open-gate subset: their sources define ``_scalar`` instead of
-    ``_kernel``, their signatures hold only open/closed states, and
-    their guard names are empty (a scalar kernel hands off to the
-    interpreter instead of calling stage guards).
+    ``_kernel`` and their signatures hold only open/closed states.
 
-    Pure codegen: no caching, no ``exec``.  A plan the compiler has no
-    emitter for yields ``(kind, signature, None, reason)`` instead of
-    raising, so one unsupported topology never hides the rest of the
-    registry from an auditor.
+    Pure codegen: no caching, no ``exec``.  ``failure`` is ``None``
+    except for a plan the compiler has no emitter for, which yields
+    ``(kind, signature, None, reason)`` instead of raising, so one
+    unsupported topology never hides the rest of the registry from an
+    auditor.
     """
     import itertools
 
@@ -727,12 +719,11 @@ def iter_registered_kernel_sources():
         for combo in itertools.product(states, repeat=len(gate_names)):
             signature = tuple(zip(gate_names, combo))
             try:
-                source, guard_names = generate_kernel_source(
-                    graph, signature)
+                source = generate_kernel_source(graph, signature)
             except KernelUnsupported as exc:
                 yield kind, signature, None, str(exc)
                 continue
-            yield kind, signature, source, guard_names
+            yield kind, signature, source, None
         for combo in itertools.product((GATE_OPEN, GATE_CLOSED),
                                        repeat=len(gate_names)):
             signature = tuple(zip(gate_names, combo))
@@ -743,7 +734,7 @@ def iter_registered_kernel_sources():
             except KernelUnsupported as exc:
                 yield kind, signature, None, str(exc)
                 continue
-            yield kind, signature, source, ()
+            yield kind, signature, source, None
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +742,6 @@ def iter_registered_kernel_sources():
 # ---------------------------------------------------------------------------
 
 
-def _kernel_inconsistent() -> ElectricalError:
-    return ElectricalError(  # pragma: no cover - stage guards raise first
-        "compiled kernel flagged a batch point out of envelope but no "
-        "stage guard raised"
-    )
 
 
 def _plan_digest(graph: RailGraph) -> str:
@@ -806,8 +792,7 @@ def _exec_kernel(source: str, key: tuple, name: str = "_kernel") -> Callable:
     """Compile and execute kernel source, returning its ``name`` def."""
     namespace = {
         "np": np,
-        "ElectricalError": ElectricalError,
-        "_kernel_inconsistent": _kernel_inconsistent,
+        "_out_of_envelope": _OutOfEnvelope,
         "sqrt": math.sqrt,
         "hypot": math.hypot,
         "inf": math.inf,
@@ -825,11 +810,11 @@ def _exec_kernel(source: str, key: tuple, name: str = "_kernel") -> Callable:
 def _build_kernel(graph: RailGraph, signature: tuple,
                   key: tuple) -> CompiledKernel:
     try:
-        source, guard_names = generate_kernel_source(graph, signature)
+        source = generate_kernel_source(graph, signature)
     except KernelUnsupported as exc:
         _bump("unsupported")
-        return CompiledKernel(key=key, source="", fn=None, guard_names=(),
-                              failed=True, failure=str(exc))
+        return CompiledKernel(key=key, source="", fn=None, failed=True,
+                              failure=str(exc))
     fn = None
     chosen = source
     from_disk = False
@@ -847,7 +832,7 @@ def _build_kernel(graph: RailGraph, signature: tuple,
         except Exception as exc:
             _bump("unsupported")
             return CompiledKernel(key=key, source=source, fn=None,
-                                  guard_names=guard_names, failed=True,
+                                  failed=True,
                                   failure=f"kernel source failed to "
                                           f"compile: {exc}")
     if not from_disk:
@@ -855,8 +840,7 @@ def _build_kernel(graph: RailGraph, signature: tuple,
     _bump("compiles")
     if from_disk:
         _bump("disk_loads")
-    return CompiledKernel(key=key, source=chosen, fn=fn,
-                          guard_names=guard_names)
+    return CompiledKernel(key=key, source=chosen, fn=fn)
 
 
 def compiled_kernel_for(graph: RailGraph,
@@ -873,53 +857,123 @@ def compiled_kernel_for(graph: RailGraph,
     )
 
 
+# ---------------------------------------------------------------------------
+# The reference: a loop of scalar solves
+# ---------------------------------------------------------------------------
+
+
+def _batch_order(graph: RailGraph, gates) -> List[str]:
+    """Component names in a batch solution's insertion order.
+
+    The scalar walk's post-order, descending every gate that is not
+    closed at all points (kernels compute a masked subtree everywhere).
+    """
+    order: List[str] = []
+
+    def visit(name: str) -> None:
+        gate = graph._plan[name][0]
+        if gate is None or gates.get(gate, False) is not False:
+            for child in graph._child_names[name]:
+                visit(child)
+        order.append(name)
+
+    for child in graph._child_names[graph.spec.source.name]:
+        visit(child)
+    return order
+
+
+def _reference_batch(graph: RailGraph, v, loads, gates, factors, shape):
+    """The per-point scalar loop as ``(batch, reached)``.
+
+    Raises whatever the loop raises.  A component under a per-point
+    gate has no scalar value where that gate is closed: its array holds
+    ``0.0`` there, and ``reached[name]`` masks the points it has one.
+    """
+    points = graph._solve_points(v, loads, gates, factors, range(shape[0]))
+    currents: Dict[str, np.ndarray] = {}
+    reached: Dict[str, np.ndarray] = {}
+    for name in _batch_order(graph, gates):
+        values = [point.component_i_in.get(name) for point in points]
+        if any(value is None for value in values):
+            reached[name] = np.array([value is not None for value in values])
+            values = [0.0 if value is None else value for value in values]
+        currents[name] = np.array(values, dtype=np.float64).reshape(shape)
+    i_source = np.array([point.i_source for point in points],
+                        dtype=np.float64).reshape(shape)
+    batch = GraphSolutionBatch(
+        v_source=v, i_source=i_source,
+        component_i_in=FrozenMapping._adopt(currents),
+    )
+    return batch, reached
+
+
+def _raise_point_error(graph: RailGraph, index: int, v, loads, gates,
+                       factors) -> NoReturn:
+    """Re-solve the point a kernel flagged: the reference raises there."""
+    graph._solve_points(v, loads, gates, factors, (index,))
+    raise ElectricalError(
+        f"compiled kernel flagged batch point {index} out of envelope but "
+        f"the scalar reference accepted it"
+    )
+
+
 def _bitwise_equal(i_source: np.ndarray, currents: Dict[str, np.ndarray],
-                   reference: GraphSolutionBatch) -> bool:
-    if i_source.shape != reference.i_source.shape:
-        return False
+                   reference: GraphSolutionBatch,
+                   reached: Dict[str, np.ndarray]) -> bool:
+    """Kernel output vs the reference: same bytes, same insertion order,
+    compared only where the scalar walk reached each component."""
     if i_source.tobytes() != reference.i_source.tobytes():
         return False
     ref_currents = reference.component_i_in
     if list(currents) != list(ref_currents):
         return False
     for name, arr in currents.items():
-        ref_arr = np.asarray(ref_currents[name])
+        ref_arr = ref_currents[name]
         arr = np.asarray(arr)
         if arr.shape != ref_arr.shape:
             return False
+        mask = reached.get(name)
+        if mask is not None:
+            arr, ref_arr = arr[mask], ref_arr[mask]
         if arr.tobytes() != ref_arr.tobytes():
             return False
     return True
 
 
-def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
-                         shape) -> Optional[GraphSolutionBatch]:
-    """The compiled fast path behind ``RailGraph.solve_batch``.
+def _fall_back(reason: str, graph: RailGraph, v, loads, gates, factors,
+               shape) -> GraphSolutionBatch:
+    _bump(reason)
+    return _reference_batch(graph, v, loads, gates, factors, shape)[0]
 
-    Arguments are the *normalized* batch inputs the interpreted walk
-    consumes (broadcast voltage/load arrays, normalized gates and
-    degradation factors, the resolved batch shape).  Returns a
-    :class:`GraphSolutionBatch`, or ``None`` when the caller must run
-    the interpreted walk (disabled converter, unsupported or failed
-    kernel, unexpected runtime error — counted in
-    :func:`kernel_metrics`).  Out-of-envelope operating points raise the
-    stage's scalar :class:`~repro.errors.ElectricalError`, identically
-    to the interpreted walk.
+
+def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
+                         shape) -> GraphSolutionBatch:
+    """The compiled path behind ``RailGraph.solve_batch``.
+
+    Arguments are the *normalized* batch inputs (broadcast voltage/load
+    arrays, normalized gates and degradation factors, the resolved
+    batch shape).  A kernel serves the call when one can: it is
+    compared with the per-point reference on its first call of at
+    least one point, and the reference serves the call instead when a
+    converter is disabled or the kernel is out of service (counted in
+    :func:`kernel_metrics`).  A point the kernel flags out of envelope
+    is re-solved by the reference, which raises its scalar
+    :class:`~repro.errors.ElectricalError`.
     """
     for converter in graph._converters.values():
         # enable()/disable() mutate runtime state the kernels bake in as
-        # constants, so any disabled stage routes to the interpreter.
+        # constants, so any disabled stage routes to the reference.
         if not converter.enabled:
-            _bump("fallbacks")
-            return None
+            return _fall_back("batch_fallbacks_disabled_converter", graph,
+                              v, loads, gates, factors, shape)
     signature = gate_signature(graph, gates)
     key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION)
     entry = _KERNELS.get_or_compute(
         key, lambda: _build_kernel(graph, signature, key)
     )
     if entry.failed:
-        _bump("fallbacks")
-        return None
+        return _fall_back("batch_fallbacks_failed_kernel", graph, v, loads,
+                          gates, factors, shape)
     kernel_loads = {}
     zeros = None
     for channel in graph._taps:
@@ -935,29 +989,29 @@ def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
         name: factor for name, factor in factors.items()
         if isinstance(factor, np.ndarray) or factor != 1.0
     }
-    guards = tuple(graph._converters[name]._batch_guard
-                   for name in entry.guard_names)
-    args = (v, kernel_loads, masks, kernel_factors, guards, shape)
+    args = (v, kernel_loads, masks, kernel_factors, shape)
     if not entry.verified:
-        # First use of this cache entry: run both paths and compare
-        # byte-for-byte.  (If the interpreted walk raises, the error
-        # propagates — exactly what the caller would have seen — and
-        # verification is retried on the next in-envelope call.)
-        reference = graph._solve_batch_interpreted(v, loads, gates,
-                                                   factors, shape)
+        # First use: the reference answers (raising the loop's error, if
+        # any, with verification left for a later call), and the kernel
+        # must match it byte for byte to be trusted.  An empty batch has
+        # nothing to compare, so it verifies nothing.
+        reference, reached = _reference_batch(graph, v, loads, gates,
+                                              factors, shape)
+        if not shape[0]:
+            return reference
         try:
             i_source, currents = entry.fn(*args)
         except Exception:
             entry.failed = True
-            entry.failure = ("kernel raised where the interpreted walk "
-                             "did not")
+            entry.failure = ("kernel raised or flagged a point where the "
+                             "scalar reference did not")
             _bump("mismatches")
             return reference
         _bump("verifications")
-        if not _bitwise_equal(i_source, currents, reference):
+        if not _bitwise_equal(i_source, currents, reference, reached):
             entry.failed = True
             entry.failure = ("kernel result diverged bitwise from the "
-                             "interpreted walk")
+                             "scalar reference")
             _bump("mismatches")
             return reference
         entry.verified = True
@@ -968,27 +1022,29 @@ def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
         )
     try:
         i_source, currents = entry.fn(*args)
-    except (ElectricalError, ConfigurationError):
-        raise
+    except _OutOfEnvelope as flagged:
+        index = flagged.index
     except Exception:
         entry.failed = True
         entry.failure = "compiled kernel raised an unexpected error"
-        _bump("fallbacks")
-        return None
-    _bump("kernel_solves")
-    return GraphSolutionBatch(
-        v_source=v, i_source=i_source,
-        component_i_in=FrozenMapping._adopt(currents),
-    )
+        return _fall_back("batch_fallbacks_failed_kernel", graph, v, loads,
+                          gates, factors, shape)
+    else:
+        _bump("kernel_solves")
+        return GraphSolutionBatch(
+            v_source=v, i_source=i_source,
+            component_i_in=FrozenMapping._adopt(currents),
+        )
+    _raise_point_error(graph, index, v, loads, gates, factors)
 
 
 # ---------------------------------------------------------------------------
 # The specialized whole-call fast path
 # ---------------------------------------------------------------------------
 
-#: Per-graph kernel call contexts (entry + bound guard tuple per gate
-#: signature).  Keyed weakly so graphs stay collectable, and kept out of
-#: graph.__dict__ so graphs stay picklable (kernels are not).
+#: Per-graph kernel entries by gate signature.  Keyed weakly so graphs
+#: stay collectable, and kept out of graph.__dict__ so graphs stay
+#: picklable (kernels are not).
 _FAST_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _F64 = np.dtype(np.float64)
@@ -996,21 +1052,17 @@ _F64_ZERO = np.float64(0.0)
 _NO_MASKS: Dict[str, np.ndarray] = {}
 
 
-def _fast_context(graph: RailGraph, per_graph: dict, signature: tuple):
-    """The ``(entry, guards)`` pair serving ``graph`` under ``signature``."""
-    ctx = per_graph.get(signature)
-    if ctx is None:
+def _fast_context(graph: RailGraph, per_graph: dict,
+                  signature: tuple) -> CompiledKernel:
+    """The kernel entry serving ``graph`` under ``signature``."""
+    entry = per_graph.get(signature)
+    if entry is None:
         key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION)
         entry = _KERNELS.get_or_compute(
             key, lambda: _build_kernel(graph, signature, key)
         )
-        guards = () if entry.failed else tuple(
-            graph._converters[name]._batch_guard
-            for name in entry.guard_names
-        )
-        ctx = (entry, guards)
-        per_graph[signature] = ctx
-    return ctx
+        per_graph[signature] = entry
+    return entry
 
 
 def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
@@ -1018,10 +1070,9 @@ def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
     """Whole-call fast path: raw ``solve_batch`` inputs to a solution.
 
     The generic prologue in :meth:`RailGraph.solve_batch` spends more
-    time normalizing and validating inputs than the interpreted walk
-    spends solving (per-channel broadcast + finite/negative array checks
-    even for plain-float loads), so a kernel behind that prologue cannot
-    win big.  This entry point replays the same normalization for the
+    time normalizing and validating inputs than a kernel spends solving
+    (per-channel broadcast + finite/negative array checks even for
+    plain-float loads).  This entry point replays the same normalization for the
     common input shapes — a 1-D float64 voltage axis, float or matching
     1-D float64 loads, frozenset or bool/mask gate mappings, scalar or
     matching-array degradation — with scalar checks where the inputs are
@@ -1029,10 +1080,10 @@ def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
     gates, out-of-domain values, exotic dtypes, unverified or failed
     kernels, disabled converters) **declines** by returning ``None`` and
     the caller falls through to the generic prologue, which raises
-    exactly the errors it always raised or runs the verifying compiled
-    path.  Out-of-envelope points raise the stage's scalar
-    :class:`~repro.errors.ElectricalError` from inside the kernel,
-    identically to the interpreted walk.
+    exactly the errors it always raised or runs
+    :func:`solve_batch_compiled`.  A point the kernel flags out of
+    envelope is re-solved by the per-point reference, which raises its
+    scalar :class:`~repro.errors.ElectricalError`.
     """
     if type(v_source) is not np.ndarray or v_source.ndim != 1 \
             or v_source.dtype != _F64:
@@ -1140,26 +1191,30 @@ def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
     for converter in graph._converters.values():
         if not converter.enabled:
             return None
-    entry, guards = _fast_context(graph, per_graph, signature)
+    entry = _fast_context(graph, per_graph, signature)
     if entry.failed or not entry.verified:
         # First use still goes through solve_batch_compiled's bitwise
-        # verification against the interpreted walk.
+        # verification against the per-point reference.
         return None
     try:
         i_source, currents = entry.fn(v_source, kernel_loads, masks,
-                                      factors, guards, shape)
-    except (ElectricalError, ConfigurationError):
-        raise
+                                      factors, shape)
+    except _OutOfEnvelope as flagged:
+        index = flagged.index
     except Exception:
+        # solve_batch_compiled counts the fallback this leads to.
         entry.failed = True
         entry.failure = "compiled kernel raised an unexpected error"
-        _bump("fallbacks")
         return None
-    _bump("kernel_solves")
-    return GraphSolutionBatch(
-        v_source=v_source, i_source=i_source,
-        component_i_in=FrozenMapping._adopt(currents),
-    )
+    else:
+        _bump("kernel_solves")
+        return GraphSolutionBatch(
+            v_source=v_source, i_source=i_source,
+            component_i_in=FrozenMapping._adopt(currents),
+        )
+    gates = {gate: masks.get(gate, state == GATE_OPEN)
+             for gate, state in signature}
+    _raise_point_error(graph, index, v_source, kernel_loads, gates, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.analysis import (
     MirrorConstantParityRule,
     MissingSlotsRule,
     MutableDefaultRule,
-    ScalarBatchParityRule,
     UnfrozenFaultEventRule,
     UnfrozenRailSpecRule,
     UnitBareSiLiteralRule,
@@ -66,9 +65,10 @@ def test_flow_rule_catches_one_hop_dimension_bug(lint_snippet):
     assert "assignment dataflow" in findings[0].message
 
 
-# solve_batch grows an extra leakage term solve never had: runtime
-# goldens only catch this when a scenario exercises the batch path;
-# nothing in the PR 4 rule set even pairs the two methods.
+# solve_batch grows an extra leakage term solve never had: nothing in
+# the PR 4 rule set even pairs the two methods.  The tree no longer
+# keeps such hand-written batch mirrors: compiled batch solves are
+# checked against a loop of scalar solves at runtime instead.
 BATCH_DRIFT_BUG = """
     import numpy as np
 
@@ -87,14 +87,6 @@ BATCH_DRIFT_BUG = """
 
 def test_legacy_rules_miss_scalar_batch_drift(lint_snippet):
     assert lint_snippet(BATCH_DRIFT_BUG, rules=legacy_rules()) == []
-
-
-def test_parity_rule_catches_scalar_batch_drift(lint_snippet):
-    findings = lint_snippet(BATCH_DRIFT_BUG,
-                            rules=[ScalarBatchParityRule()])
-    assert rule_ids(findings) == ["VEC001"]
-    assert "2 term(s)" in findings[0].message
-    assert "3" in findings[0].message
 
 
 # The cohort-mirror variant: a degradation knee constant edited in the

@@ -9,14 +9,21 @@ last ulp, not within a tolerance.  Error edges (dropout, brownout,
 radio-load-while-gated) must reproduce too: same exception type, same
 message.
 
+The same goldens pin the batch solver: each golden group (one train
+state and load state across the voltage grid) goes through one
+``solve_graph_batch`` call, which must reproduce every solved case to
+the last bit and every error case's type and message.
+
 If this file fails, the graph solver's arithmetic conventions drifted
 (summation order, cascade voltages, leak handling) — do NOT regenerate
 the goldens to paper over it; see ``tools/capture_train_goldens.py``.
 """
 
+import itertools
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.core import LoadState, make_power_train
@@ -87,3 +94,54 @@ def test_two_solves_of_one_train_are_byte_identical(kind):
     second = train.solve(1.25, loads)
     assert first.i_battery.hex() == second.i_battery.hex()
     assert first.subsystem_power == second.subsystem_power
+
+
+def golden_group(case):
+    """Cases sharing one train and load state differ only in voltage."""
+    return (case["kind"], case["case"], case["loss_factor"], case["radio"],
+            tuple(sorted(case["loads"].items())))
+
+
+GROUPS = [list(cases) for _, cases in itertools.groupby(
+    sorted(CASES, key=golden_group), key=golden_group)]
+
+BATCH_LOAD_CHANNELS = {"i_mcu": "mcu", "i_sensor": "sensor",
+                       "i_radio_digital": "radio-digital",
+                       "i_radio_rf": "radio-rf"}
+
+
+def group_id(cases):
+    return f"{cases[0]['kind']}-{cases[0]['case']}"
+
+
+@pytest.mark.parametrize("cases", GROUPS, ids=group_id)
+def test_graph_solve_batch_is_bit_exact_with_legacy(cases):
+    """One batch per golden group: solved points as one batch, each
+    error case as a one-point batch of its own."""
+    first = cases[0]
+    train = make_power_train(first["kind"])
+    if first["loss_factor"] != 1.0:
+        train.set_degradation(first["loss_factor"])
+    if first["radio"]:
+        train.enable_radio()
+    batch_loads = {BATCH_LOAD_CHANNELS[field]: amps
+                   for field, amps in first["loads"].items()}
+    solved = [case for case in cases if "error" not in case["result"]]
+    for case in cases:
+        if "error" in case["result"]:
+            with pytest.raises(ElectricalError) as excinfo:
+                train.solve_graph_batch(np.array([case["v_battery"]]),
+                                        batch_loads)
+            assert type(excinfo.value).__name__ == case["result"]["error"]
+            assert str(excinfo.value) == case["result"]["message"]
+    if not solved:
+        return
+    batch = train.solve_graph_batch(
+        np.array([case["v_battery"] for case in solved]), batch_loads)
+    # i_battery is the field the batch computes; the rail voltage and
+    # subsystem powers come from tap voltages alone.
+    for k, case in enumerate(solved):
+        i_battery = float(batch.i_source[k])
+        if train.loss_factor != 1.0:
+            i_battery = i_battery * train.loss_factor
+        assert i_battery.hex() == case["result"]["i_battery"]

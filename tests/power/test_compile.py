@@ -1,20 +1,18 @@
 """Plan-compiled fused kernels: bitwise identity with the interpreted
-walk, error parity, verification/fallback semantics, and the kernel
-caches (in-memory and on-disk).
+scalar walk looped over the points, error parity, verification/fallback
+semantics, and the kernel caches (in-memory and on-disk).
 
-The contract under test (see ``repro/power/compile.py``): with
-``compiled=True`` — the default — ``RailGraph.solve_batch`` must return
-byte-identical arrays and raise identical errors to ``compiled=False``
-for every registered topology, gate state, and degradation shape; any
-divergence must fall back to the interpreted walk and be surfaced in
+The contract under test (see ``repro/power/compile.py``):
+``RailGraph.solve_batch`` must return byte-identical arrays and raise
+identical errors to a loop of ``RailGraph.solve`` over its points, for
+every registered topology, gate state, and degradation shape; any
+divergent kernel must be retired in favour of that loop and surfaced in
 :func:`repro.power.compile.kernel_metrics`.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ElectricalError
-from repro.power import compile as kernel_compile
 from repro.power.compile import (
     CACHE_DIR_ENV,
     GATE_CLOSED,
@@ -36,6 +34,8 @@ from repro.power.rail_topologies import (
     get_rail_spec,
     rail_topology_names,
 )
+
+from .batch_reference import assert_matches_scalar_loop, outcome, scalar_loop
 
 ALL_KINDS = sorted(rail_topology_names())
 
@@ -67,14 +67,10 @@ def _batch_loads(rng, radio=True):
     return loads
 
 
-def _assert_bitwise_equal(compiled, interpreted):
-    assert compiled.i_source.tobytes() == interpreted.i_source.tobytes()
-    assert list(compiled.component_i_in) == list(interpreted.component_i_in)
-    for name in compiled.component_i_in:
-        assert (
-            np.asarray(compiled.component_i_in[name]).tobytes()
-            == np.asarray(interpreted.component_i_in[name]).tobytes()
-        ), f"component {name} diverged bitwise"
+def _assert_matches_loop(graph, batch, v, loads, open_gates=frozenset(),
+                         degradation=None):
+    assert_matches_scalar_loop(batch, scalar_loop(
+        graph, v, loads, open_gates=open_gates, degradation=degradation))
 
 
 def _gate_configs(rng):
@@ -104,10 +100,8 @@ def test_compiled_matches_interpreted_bitwise(kind):
             compiled = graph.solve_batch(
                 V_GRID, dict(loads), open_gates=gates,
                 degradation=degradation)
-            interpreted = graph.solve_batch(
-                V_GRID, dict(loads), open_gates=gates,
-                degradation=degradation, compiled=False)
-            _assert_bitwise_equal(compiled, interpreted)
+            _assert_matches_loop(graph, compiled, V_GRID, loads, gates,
+                                 degradation)
     metrics = kernel_metrics()
     assert metrics.mismatches == 0
     assert metrics.kernel_solves > 0, (
@@ -123,8 +117,7 @@ def test_compiled_matches_interpreted_with_scalar_loads(kind):
     loads = {"mcu": 0.7e-6, "sensor": 0.3e-6}
     for _ in range(2):
         compiled = graph.solve_batch(V_GRID, loads)
-        interpreted = graph.solve_batch(V_GRID, loads, compiled=False)
-        _assert_bitwise_equal(compiled, interpreted)
+        _assert_matches_loop(graph, compiled, V_GRID, loads)
     assert kernel_metrics().kernel_solves > 0
 
 
@@ -143,24 +136,26 @@ def test_compiled_matches_interpreted_with_scalar_loads(kind):
 )
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_error_parity_out_of_envelope(kind, v_scale, loads, gates):
-    """Both paths raise the identical scalar ElectricalError (same type,
-    same message — first failing component, lowest failing index)."""
+    """The batch raises the identical scalar ElectricalError a loop of
+    scalar solves raises first (same type, same message), on first use
+    and from the verified kernel alike."""
     graph = RailGraph(get_rail_spec(kind))
-    outcomes = []
-    for compiled in (True, False):
-        try:
-            result = graph.solve_batch(V_GRID * v_scale, dict(loads),
-                                       open_gates=gates,
-                                       compiled=compiled)
-            outcomes.append(("ok", result.i_source.tobytes()))
-        except ElectricalError as exc:
-            outcomes.append((type(exc).__name__, str(exc)))
-    assert outcomes[0] == outcomes[1]
+    v = V_GRID * v_scale
+    expected = outcome(lambda: scalar_loop(graph, v, loads, gates))
+
+    def batch():
+        return outcome(lambda: graph.solve_batch(v, dict(loads),
+                                                 open_gates=gates))
+
+    first = batch()  # an unverified kernel: the loop answers
+    graph.solve_batch(V_GRID, {"mcu": 1e-6}, open_gates=gates)  # verify
+    assert first == batch() == expected
+    assert kernel_metrics().mismatches == 0
 
 
 def test_masked_off_point_skips_envelope_check():
     """A failing operating point that the per-point gate mask disables
-    must not raise — on either path — and results stay identical."""
+    must not raise, and results stay identical to the scalar loop."""
     graph = RailGraph(get_rail_spec("cots"))
     mask = np.zeros(N_POINTS, dtype=bool)
     mask[5] = True
@@ -168,17 +163,18 @@ def test_masked_off_point_skips_envelope_check():
     radio_digital[7] = 5e-3  # would starve the shunt, but point 7 is off
     loads = {"mcu": np.full(N_POINTS, 1e-6),
              "radio-digital": radio_digital}
-    compiled = graph.solve_batch(V_GRID, loads,
-                                 open_gates={RADIO_GATE: mask})
-    interpreted = graph.solve_batch(V_GRID, loads,
-                                    open_gates={RADIO_GATE: mask},
-                                    compiled=False)
-    _assert_bitwise_equal(compiled, interpreted)
+    for _ in range(2):
+        compiled = graph.solve_batch(V_GRID, loads,
+                                     open_gates={RADIO_GATE: mask})
+        _assert_matches_loop(graph, compiled, V_GRID, loads,
+                             {RADIO_GATE: mask})
+    assert kernel_metrics().kernel_solves == 2
 
 
 def test_invalid_inputs_raise_identically_on_both_paths():
     """Input validation (not envelope) errors: identical type+message
-    whether or not the compiled path is enabled."""
+    whether a verified kernel's fast path or the generic prologue sees
+    the call first."""
     graph = RailGraph(get_rail_spec("cots"))
     bad_inputs = [
         # mismatched batch shapes
@@ -194,19 +190,21 @@ def test_invalid_inputs_raise_identically_on_both_paths():
         # unknown degradation component
         dict(loads={"mcu": 1e-6}, degradation={"nonesuch": 1.5}),
     ]
-    for kwargs in bad_inputs:
-        outcomes = []
-        for compiled in (True, False):
-            try:
-                graph.solve_batch(V_GRID, compiled=compiled,
-                                  **{k: (dict(v) if isinstance(v, dict)
-                                         else v)
-                                     for k, v in kwargs.items()})
-                outcomes.append(("ok", None))
-            except ConfigurationError as exc:
-                outcomes.append((type(exc).__name__, str(exc)))
-        assert outcomes[0] == outcomes[1], f"for {kwargs}"
-        assert outcomes[0][0] == "ConfigurationError"
+    outcomes = {}
+    for warm in (False, True):
+        clear_kernel_cache()
+        if warm:
+            graph.solve_batch(V_GRID, {"mcu": 1e-6},
+                              open_gates={RADIO_GATE: True})
+            graph.solve_batch(V_GRID, {"mcu": 1e-6})
+        outcomes[warm] = [
+            outcome(lambda: graph.solve_batch(
+                V_GRID, **{k: (dict(v) if isinstance(v, dict) else v)
+                           for k, v in kwargs.items()}))
+            for kwargs in bad_inputs
+        ]
+    assert outcomes[True] == outcomes[False]
+    assert {kind for kind, _ in outcomes[True]} == {"ConfigurationError"}
 
 
 def test_first_use_verification_then_direct_kernel():
@@ -225,7 +223,7 @@ def test_first_use_verification_then_direct_kernel():
 
 def test_mismatching_kernel_falls_back_to_interpreted():
     """A kernel whose output diverges bitwise is marked failed on first
-    use, the interpreted result is returned, and metrics record it."""
+    use, the scalar loop's result is returned, and metrics record it."""
     graph = RailGraph(get_rail_spec("cots"))
     entry = compiled_kernel_for(graph)
     assert not entry.failed and entry.fn is not None
@@ -238,16 +236,21 @@ def test_mismatching_kernel_falls_back_to_interpreted():
     entry.fn = corrupted
     loads = {"mcu": np.full(N_POINTS, 1e-6)}
     compiled = graph.solve_batch(V_GRID, loads)
-    interpreted = graph.solve_batch(V_GRID, loads, compiled=False)
-    _assert_bitwise_equal(compiled, interpreted)
+    _assert_matches_loop(graph, compiled, V_GRID, loads)
     assert entry.failed
     assert "diverged bitwise" in entry.failure
     metrics = kernel_metrics()
     assert metrics.mismatches == 1
     assert metrics.kernel_solves == 0
-    # Later calls keep working (interpreted) without re-verifying.
+    assert metrics.fallbacks == 0
+    # Later calls keep working (on the reference) without re-verifying.
     again = graph.solve_batch(V_GRID, loads)
-    _assert_bitwise_equal(again, interpreted)
+    _assert_matches_loop(graph, again, V_GRID, loads)
+    metrics = kernel_metrics()
+    assert metrics.verifications == 1
+    assert metrics.batch_fallbacks == {"disabled-converter": 0,
+                                       "failed-kernel": 1}
+    assert metrics.fallbacks == 1
 
 
 def test_kernel_raising_unexpectedly_marks_failed():
@@ -260,10 +263,26 @@ def test_kernel_raising_unexpectedly_marks_failed():
     entry.fn = explodes
     loads = {"mcu": np.full(N_POINTS, 1e-6)}
     compiled = graph.solve_batch(V_GRID, loads)
-    interpreted = graph.solve_batch(V_GRID, loads, compiled=False)
-    _assert_bitwise_equal(compiled, interpreted)
+    _assert_matches_loop(graph, compiled, V_GRID, loads)
     assert entry.failed
     assert kernel_metrics().mismatches == 1
+
+
+def test_verified_kernel_raising_unexpectedly_falls_back_once():
+    graph = RailGraph(get_rail_spec("cots"))
+    loads = {"mcu": np.full(N_POINTS, 1e-6)}
+    graph.solve_batch(V_GRID, loads)  # verify
+    entry = compiled_kernel_for(graph)
+    assert entry.verified
+
+    def explodes(*args):
+        raise RuntimeError("boom")
+
+    entry.fn = explodes
+    result = graph.solve_batch(V_GRID, loads)  # through the fast path
+    _assert_matches_loop(graph, result, V_GRID, loads)
+    assert entry.failed
+    assert kernel_metrics().batch_fallbacks["failed-kernel"] == 1
 
 
 def test_disabled_converter_routes_to_interpreter():
@@ -275,23 +294,17 @@ def test_disabled_converter_routes_to_interpreter():
     converter.disable()
     try:
         compiled = graph.solve_batch(V_GRID, loads)
-        interpreted = graph.solve_batch(V_GRID, loads, compiled=False)
-        _assert_bitwise_equal(compiled, interpreted)
-        assert kernel_metrics().kernel_solves == baseline
-        assert kernel_metrics().fallbacks >= 1
+        _assert_matches_loop(graph, compiled, V_GRID, loads)
+        metrics = kernel_metrics()
+        assert metrics.kernel_solves == baseline
+        assert metrics.batch_fallbacks == {"disabled-converter": 1,
+                                           "failed-kernel": 0}
+        assert metrics.fallbacks == 1
     finally:
         converter.enable()
     # Re-enabled: the kernel serves again.
     graph.solve_batch(V_GRID, loads)
     assert kernel_metrics().kernel_solves == baseline + 1
-
-
-def test_compiled_false_never_touches_kernels():
-    graph = RailGraph(get_rail_spec("cots"))
-    graph.solve_batch(V_GRID, {"mcu": 1e-6}, compiled=False)
-    metrics = kernel_metrics()
-    assert metrics.compiles == 0
-    assert metrics.kernel_solves == 0
 
 
 def test_gate_signature_resolves_states():
@@ -362,25 +375,40 @@ def test_fast_path_declines_exotic_inputs_but_results_match():
                             {"radio": object()}, None) is None
     # The public entry point still solves them (list loads broadcast).
     compiled = graph.solve_batch(V_GRID, {"mcu": [1e-6] * N_POINTS})
-    interpreted = graph.solve_batch(V_GRID, {"mcu": [1e-6] * N_POINTS},
-                                    compiled=False)
-    _assert_bitwise_equal(compiled, interpreted)
+    _assert_matches_loop(graph, compiled, V_GRID,
+                         {"mcu": [1e-6] * N_POINTS})
 
 
 def test_scalar_voltage_still_works_compiled():
     graph = RailGraph(get_rail_spec("cots"))
     compiled = graph.solve_batch(1.3, {"mcu": 1e-6})
-    interpreted = graph.solve_batch(1.3, {"mcu": 1e-6}, compiled=False)
-    _assert_bitwise_equal(compiled, interpreted)
+    _assert_matches_loop(graph, compiled, 1.3, {"mcu": 1e-6})
 
 
 def test_empty_batch_compiled():
     graph = RailGraph(get_rail_spec("cots"))
     empty = np.zeros(0)
-    compiled = graph.solve_batch(empty, {"mcu": 1e-6})
-    interpreted = graph.solve_batch(empty, {"mcu": 1e-6}, compiled=False)
-    assert compiled.i_source.shape == (0,)
-    _assert_bitwise_equal(compiled, interpreted)
+    for _ in range(2):  # unverified, then verified
+        compiled = graph.solve_batch(empty, {"mcu": 1e-6})
+        assert compiled.i_source.shape == (0,)
+        assert list(compiled.component_i_in) == list(
+            graph.solve(1.3, {"mcu": 1e-6}).component_i_in)
+        assert all(arr.shape == (0,)
+                   for arr in compiled.component_i_in.values())
+        graph.solve_batch(V_GRID, {"mcu": 1e-6})
+
+
+def test_empty_first_call_verifies_nothing():
+    """An empty batch compares no point, so it must not verify the
+    kernel: the next call still checks it against the scalar loop."""
+    graph = RailGraph(get_rail_spec("cots"))
+    graph.solve_batch(np.empty(0), {"mcu": 1e-6})
+    entry = compiled_kernel_for(graph)
+    assert not entry.verified
+    assert kernel_metrics().verifications == 0
+    graph.solve_batch(V_GRID, {"mcu": 1e-6})
+    assert entry.verified
+    assert kernel_metrics().verifications == 1
 
 
 def test_clear_kernel_cache_forces_recompile():
@@ -416,7 +444,8 @@ def test_disk_cache_cold_writes_then_warm_loads(tmp_path, monkeypatch):
     metrics = kernel_metrics()
     assert metrics.disk_loads == 1
     assert metrics.mismatches == 0
-    _assert_bitwise_equal(warm_result, cold_result)
+    _assert_matches_loop(warm, warm_result, V_GRID, loads)
+    assert warm_result.i_source.tobytes() == cold_result.i_source.tobytes()
 
 
 def test_corrupt_disk_artifact_is_regenerated(tmp_path, monkeypatch):
@@ -430,8 +459,7 @@ def test_corrupt_disk_artifact_is_regenerated(tmp_path, monkeypatch):
     reset_kernel_metrics()
     graph = RailGraph(get_rail_spec("cots"))
     compiled = graph.solve_batch(V_GRID, loads)
-    interpreted = graph.solve_batch(V_GRID, loads, compiled=False)
-    _assert_bitwise_equal(compiled, interpreted)
+    _assert_matches_loop(graph, compiled, V_GRID, loads)
     metrics = kernel_metrics()
     assert metrics.disk_loads == 0  # corrupt artifact was not trusted
     assert metrics.mismatches == 0
@@ -453,8 +481,7 @@ def test_stale_disk_artifact_wrong_results_caught_by_verification(
     reset_kernel_metrics()
     graph = RailGraph(get_rail_spec("cots"))
     compiled = graph.solve_batch(V_GRID, loads)
-    interpreted = graph.solve_batch(V_GRID, loads, compiled=False)
-    _assert_bitwise_equal(compiled, interpreted)
+    _assert_matches_loop(graph, compiled, V_GRID, loads)
     metrics = kernel_metrics()
     assert metrics.mismatches == 1
     assert metrics.kernel_solves == 0

@@ -1,10 +1,11 @@
-"""Batched rail-graph solving: scalar equivalence within ULP_BUDGET,
-per-point gating and degradation, error parity, and batch ergonomics.
+"""Batched rail-graph solving: bitwise equality with a loop of scalar
+solves, per-point gating and degradation, error parity, and batch
+ergonomics.
 
 The scalar :meth:`RailGraph.solve` is the bit-exact reference (see the
 440-case golden suite in ``tests/core/test_graph_equivalence.py``);
-these tests pin :meth:`RailGraph.solve_batch` to it within the
-documented :data:`repro.power.graph.ULP_BUDGET`.
+these tests pin :meth:`RailGraph.solve_batch` to a loop of it, byte for
+byte and in insertion order.
 """
 
 import dataclasses
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ElectricalError
+from repro.power.compile import clear_kernel_cache, compiled_kernel_for
 from repro.power.graph import (
-    ULP_BUDGET,
     FrozenMapping,
     GraphSolution,
     GraphSolutionBatch,
@@ -25,6 +26,8 @@ from repro.power.rail_topologies import (
     get_rail_spec,
     rail_topology_names,
 )
+
+from .batch_reference import assert_matches_scalar_loop, scalar_loop
 
 ALL_KINDS = sorted(rail_topology_names())
 
@@ -39,43 +42,6 @@ TX_LOADS = {
     "radio-digital": 50e-6,
     "radio-rf": 4e-3,
 }
-
-
-def ulp_distance(a, b):
-    """Elementwise distance in units-in-the-last-place between floats."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ia = a.view(np.int64)
-    ib = b.view(np.int64)
-    # Map the IEEE-754 bit patterns onto a monotone integer line so the
-    # difference counts representable doubles between a and b.
-    ia = np.where(ia < 0, np.int64(-(2**63)) - ia, ia)
-    ib = np.where(ib < 0, np.int64(-(2**63)) - ib, ib)
-    return np.abs(ia - ib)
-
-
-def assert_within_budget(batch_values, scalar_values):
-    distance = ulp_distance(batch_values, scalar_values)
-    assert int(distance.max()) <= ULP_BUDGET, (
-        f"batch diverged from scalar by {int(distance.max())} ulp "
-        f"(budget {ULP_BUDGET})"
-    )
-
-
-def scalar_reference(graph, v_grid, loads, open_gates=frozenset(),
-                     degradation=None):
-    """Loop the scalar solver over the grid; returns (i_source, currents)."""
-    solutions = [
-        graph.solve(float(v), loads, open_gates=open_gates,
-                    degradation=degradation)
-        for v in v_grid
-    ]
-    i_source = np.array([s.i_source for s in solutions])
-    currents = {
-        name: np.array([s.component_i_in[name] for s in solutions])
-        for name in solutions[0].component_i_in
-    }
-    return i_source, currents
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +61,10 @@ def scalar_reference(graph, v_grid, loads, open_gates=frozenset(),
 def test_batch_matches_scalar_loop(kind, loads, open_gates):
     graph = RailGraph(get_rail_spec(kind))
     batch = graph.solve_batch(V_GRID, loads, open_gates=open_gates)
-    ref_i, ref_currents = scalar_reference(graph, V_GRID, loads,
-                                           open_gates=open_gates)
+    solutions = scalar_loop(graph, V_GRID, loads, open_gates=open_gates)
     assert batch.i_source.shape == V_GRID.shape
-    assert_within_budget(batch.i_source, ref_i)
-    assert set(batch.component_i_in) == set(ref_currents)
-    for name, expected in ref_currents.items():
-        assert_within_budget(batch.component_i_in[name], expected)
+    assert list(batch.component_i_in) == list(solutions[0].component_i_in)
+    assert_matches_scalar_loop(batch, solutions)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -110,9 +73,8 @@ def test_batch_matches_scalar_with_degradation(kind):
     victim = graph.component_names()[1]
     degradation = {victim: 1.07}
     batch = graph.solve_batch(V_GRID, SLEEP_LOADS, degradation=degradation)
-    ref_i, _ = scalar_reference(graph, V_GRID, SLEEP_LOADS,
-                                degradation=degradation)
-    assert_within_budget(batch.i_source, ref_i)
+    assert_matches_scalar_loop(batch, scalar_loop(
+        graph, V_GRID, SLEEP_LOADS, degradation=degradation))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -122,12 +84,11 @@ def test_batched_loads_axis_matches_scalar(kind):
     mcu = np.linspace(0.0, 400e-6, 8)
     loads = {"mcu": mcu, "sensor": 0.3e-6}
     batch = graph.solve_batch(1.25, loads)
-    expected = np.array([
-        graph.solve(1.25, {"mcu": float(amps), "sensor": 0.3e-6}).i_source
+    assert batch.i_source.shape == mcu.shape
+    assert_matches_scalar_loop(batch, [
+        graph.solve(1.25, {"mcu": float(amps), "sensor": 0.3e-6})
         for amps in mcu
     ])
-    assert batch.i_source.shape == mcu.shape
-    assert_within_budget(batch.i_source, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +110,7 @@ def test_per_point_gate_mask_matches_two_scalar_solves(kind):
     )
     sleep = graph.solve(1.25, SLEEP_LOADS)
     tx = graph.solve(1.25, TX_LOADS, open_gates=frozenset({RADIO_GATE}))
-    assert_within_budget(batch.i_source, [sleep.i_source, tx.i_source])
-    for name in sleep.component_i_in:
-        assert_within_budget(
-            batch.component_i_in[name],
-            [sleep.component_i_in[name], tx.component_i_in[name]],
-        )
+    assert_matches_scalar_loop(batch, [sleep, tx])
 
 
 def test_per_point_degradation_array_matches_scalar():
@@ -163,12 +119,10 @@ def test_per_point_degradation_array_matches_scalar():
     factors = np.array([1.0, 1.05, 1.25])
     batch = graph.solve_batch(1.25, SLEEP_LOADS,
                               degradation={victim: factors})
-    expected = np.array([
-        graph.solve(1.25, SLEEP_LOADS,
-                    degradation={victim: float(f)}).i_source
+    assert_matches_scalar_loop(batch, [
+        graph.solve(1.25, SLEEP_LOADS, degradation={victim: float(f)})
         for f in factors
     ])
-    assert_within_budget(batch.i_source, expected)
 
 
 def test_degradation_applies_to_gated_off_leak():
@@ -183,10 +137,8 @@ def test_degradation_applies_to_gated_off_leak():
     victim = gated[0]
     batch = graph.solve_batch(V_GRID, SLEEP_LOADS,
                               degradation={victim: 3.0})
-    ref_i, ref_currents = scalar_reference(graph, V_GRID, SLEEP_LOADS,
-                                           degradation={victim: 3.0})
-    assert_within_budget(batch.component_i_in[victim], ref_currents[victim])
-    assert_within_budget(batch.i_source, ref_i)
+    assert_matches_scalar_loop(batch, scalar_loop(
+        graph, V_GRID, SLEEP_LOADS, degradation={victim: 3.0}))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +174,31 @@ def test_overload_point_raises_the_scalar_error():
     assert str(excinfo.value) == expected
 
 
+def test_lowest_failing_point_decides_the_error():
+    """Two points fail in different stages: the batch raises what a
+    scalar loop raises first (point 0's LDO overload), not the error of
+    the stage that comes first in walk order (point 1's pump window)."""
+    graph = RailGraph(get_rail_spec("cots"))
+    radio_on = frozenset({RADIO_GATE})
+    v = np.array([1.25, 0.85])
+    rf = np.array([0.02, 4e-3])
+    loop_error = None
+    for k in range(2):
+        try:
+            graph.solve(float(v[k]), dict(TX_LOADS, **{"radio-rf": rf[k]}),
+                        open_gates=radio_on)
+        except ElectricalError as exc:
+            loop_error = str(exc)
+            break
+    assert loop_error is not None and loop_error.startswith("lt3020:")
+    for _ in range(2):  # first use (verifying) and the verified kernel
+        with pytest.raises(ElectricalError) as excinfo:
+            graph.solve_batch(v, dict(TX_LOADS, **{"radio-rf": rf}),
+                              open_gates=radio_on)
+        assert str(excinfo.value) == loop_error
+        graph.solve_batch(V_GRID, TX_LOADS, open_gates=radio_on)
+
+
 def test_gated_off_points_skip_envelope_checks():
     """A bad operating point behind a closed per-point gate must not raise."""
     graph = RailGraph(get_rail_spec("cots"))
@@ -235,8 +212,10 @@ def test_gated_off_points_skip_envelope_checks():
         np.array([1.18, 1.25]), loads,
         open_gates={RADIO_GATE: np.array([False, True])},
     )
-    sleep = graph.solve(1.18, {"mcu": 0.7e-6, "sensor": 0.3e-6})
-    assert_within_budget(batch.i_source[:1], [sleep.i_source])
+    sleep = graph.solve(1.18, dict(loads, **{"radio-rf": 0.0}))
+    tx = graph.solve(1.25, dict(loads, **{"radio-rf": 4e-3}),
+                     open_gates=frozenset({RADIO_GATE}))
+    assert_matches_scalar_loop(batch, [sleep, tx])
 
 
 def test_negative_batched_load_reports_the_point_index():
@@ -258,23 +237,25 @@ def test_mismatched_batch_shapes_rejected():
                           {"mcu": np.array([1e-6, 1e-6, 1e-6])})
 
 
-@pytest.mark.parametrize("compiled", [True, False])
-def test_mismatched_shapes_raise_same_error_on_both_paths(compiled):
+@pytest.mark.parametrize("warm", [True, False])
+def test_mismatched_shapes_raise_same_error_on_both_paths(warm):
     """Regression for the batch-shape hoist + compiled fast path: shape
     validation happens once up front, and the error is identical whether
-    the compiled kernel path is enabled or not."""
+    a verified kernel's fast path or the generic prologue meets the
+    call first."""
+    clear_kernel_cache()
     graph = RailGraph(get_rail_spec("cots"))
+    if warm:
+        graph.solve_batch(np.array([1.2, 1.25]),
+                          {"mcu": np.array([1e-6, 1e-6])})
+        assert compiled_kernel_for(graph).verified
     with pytest.raises(ConfigurationError) as excinfo:
         graph.solve_batch(np.array([1.2, 1.25]),
-                          {"mcu": np.array([1e-6, 1e-6, 1e-6])},
-                          compiled=compiled)
-    assert "do not broadcast" in str(excinfo.value)
-    # Both paths must agree on the full message, not just the prefix.
-    with pytest.raises(ConfigurationError) as other:
-        graph.solve_batch(np.array([1.2, 1.25]),
-                          {"mcu": np.array([1e-6, 1e-6, 1e-6])},
-                          compiled=not compiled)
-    assert str(excinfo.value) == str(other.value)
+                          {"mcu": np.array([1e-6, 1e-6, 1e-6])})
+    # The full message, not just the prefix.
+    assert str(excinfo.value) == (
+        "cots-power-train: batch inputs do not broadcast: [(2,), (3,)]"
+    )
 
 
 def test_2d_batch_inputs_rejected():
@@ -316,8 +297,7 @@ def test_scalar_inputs_produce_a_one_point_batch():
     assert isinstance(batch, GraphSolutionBatch)
     assert len(batch) == 1
     assert batch.v_source.shape == (1,)
-    scalar = graph.solve(1.25, SLEEP_LOADS)
-    assert_within_budget(batch.i_source, [scalar.i_source])
+    assert_matches_scalar_loop(batch, [graph.solve(1.25, SLEEP_LOADS)])
 
 
 def test_point_extracts_a_scalar_solution():

@@ -13,6 +13,11 @@ import time
 
 from repro.campaigns import node_hours_task
 from repro.core import NodeConfig, PicoCube
+from repro.power.compile import (
+    clear_kernel_cache,
+    kernel_metrics,
+    reset_kernel_metrics,
+)
 from repro.runner import Sweep
 from repro.sim import Engine, StepTrace, sum_traces
 
@@ -51,6 +56,17 @@ def _timed(timings, fn):
     return run
 
 
+def _assert_scalar_kernels_served():
+    """The compiled scalar solve served the timed run: it compiled,
+    matched the interpreter, and never fell back for a failed kernel or
+    a disabled converter."""
+    kernels = kernel_metrics()
+    assert kernels.scalar_compiles >= 1
+    assert kernels.scalar_mismatches == 0
+    assert kernels.scalar_fallbacks["failed-kernel"] == 0
+    assert kernels.scalar_fallbacks["disabled-converter"] == 0
+
+
 def test_perf_node_hour_fast_fidelity(benchmark):
     """One simulated hour of the TPMS node (600 cycles)."""
 
@@ -60,7 +76,12 @@ def test_perf_node_hour_fast_fidelity(benchmark):
         return node
 
     timings = {}
+    # The timed runs compile their own solve kernels, so the counters
+    # describe exactly the runs being timed.
+    clear_kernel_cache()
+    reset_kernel_metrics()
     node = benchmark(_timed(timings, run))
+    _assert_scalar_kernels_served()
     assert node.cycles_completed == 599
     # Speedup over real time: a simulated hour must take far under an
     # hour of wall time.
@@ -90,7 +111,10 @@ def test_perf_simulated_day(benchmark):
         return node
 
     timings = {}
+    clear_kernel_cache()
+    reset_kernel_metrics()
     node = benchmark.pedantic(_timed(timings, run), rounds=2, iterations=1)
+    _assert_scalar_kernels_served()
     assert node.cycles_completed == 14399
     # A day in well under a minute of wall time.
     assert timings["s"] < 60.0

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 from ..errors import ConfigurationError, ElectricalError, SimulationError
 from ..mcu import Mode, Msp430, SpiMaster, motion_firmware, tpms_firmware
 from ..net.packet import PicoPacket, encode_accel_reading, encode_tpms_reading
-from ..net.framing import manchester_encode, ones_fraction
+from ..net.framing import line_code_counts, manchester_encode
 from ..radio import FbarTransmitter, OokModulator
 from ..sensors import (
     MotionEnvironment,
@@ -38,7 +38,11 @@ from ..sim.process import Process
 from ..storage import NiMHCell, TrickleCharger
 from .config import NodeConfig
 from .fastforward import CycleFastForward
-from .power_train import LoadState, make_power_train
+from .power_train import make_power_train
+
+#: The node's recorder channels, in the order every update sets them.
+NODE_CHANNELS = ("mcu", "sensor", "radio-digital", "radio-rf",
+                 "power-management")
 
 
 @dataclasses.dataclass
@@ -167,37 +171,32 @@ class PicoCube:
         self._i_radio_rf = current
         self._update()
 
-    def _loads(self) -> LoadState:
-        return LoadState(
-            i_mcu=self._i_mcu,
-            i_sensor=self._i_sensor,
-            i_radio_digital=self._i_radio_digital,
-            i_radio_rf=self._i_radio_rf,
-        )
-
     def _update(self) -> None:
         """Re-solve the electrical state after any load change."""
         self._sync_battery()
         if self.browned_out:
             return
-        loads = self._loads()
+        battery = self.battery
         # One fixed-point pass on the terminal voltage: NiMH sag is small
-        # at microamp-to-milliamp loads, so one iteration converges.
+        # at microamp-to-milliamp loads, so one iteration converges.  The
+        # charge is fixed across the pass, so OCV and ESR are read once.
         try:
-            v_batt = self.battery.terminal_voltage(self._i_battery)
-            solution = self.train.solve(v_batt, loads)
-            solution = self.train.solve(
-                self.battery.terminal_voltage(solution.i_battery), loads
+            i_battery, powers = self.train.settle(
+                battery.open_circuit_voltage(),
+                battery.internal_resistance(),
+                self._i_battery,
+                self._i_mcu,
+                self._i_sensor,
+                self._i_radio_digital,
+                self._i_radio_rf,
             )
         except ElectricalError:
             # The sagging battery fell out of the power train's operating
             # range: the management circuitry drops out — a brownout.
             self._enter_brownout(self.engine.now)
             return
-        self._i_battery = solution.i_battery
-        for channel, watts in solution.subsystem_power.items():
-            self.recorder.record(channel, watts)
-        self.recorder.record("power-management", solution.p_management)
+        self._i_battery = i_battery
+        self.recorder.record_many(NODE_CHANNELS, powers)
 
     def _sync_battery(self) -> None:
         """Integrate the battery drain since the last event.
@@ -238,8 +237,7 @@ class PicoCube:
         self._i_battery = 0.0
         if self._wake_timer is not None:
             self._wake_timer.stop()
-        for channel in ("mcu", "sensor", "radio-digital", "radio-rf",
-                        "power-management"):
+        for channel in NODE_CHANNELS:
             if self.recorder.has_channel(channel):
                 self.recorder.record(channel, 0.0)
         if self.config.brownout_recovery:
@@ -583,19 +581,27 @@ class PicoCube:
 
     def _transmit(self, packet: PicoPacket):
         """Drive the RF rail for one packet, per the configured fidelity."""
-        bits = self._line_code_bits(packet)
-        self._set_radio_rf(self.tx.i_rf_on)  # oscillator start-up
-        yield self.tx.startup_time()
-        if self.config.fidelity == "profile":
+        tx = self.tx
+        profile = self.config.fidelity == "profile"
+        if profile:
+            bits = self._line_code_bits(packet)
+        else:
+            # Only the mark density matters: count, don't expand, bits.
+            marks, air_bits = line_code_counts(
+                packet.to_bytes(), self.config.line_code
+            )
+        self._set_radio_rf(tx.i_rf_on)  # oscillator start-up
+        yield tx.startup_time()
+        if profile:
             for duration, power in self.modulator.power_segments(
-                bits, self.tx.p_dc_on
+                bits, tx.p_dc_on
             ):
-                self._set_radio_rf(power / self.tx.v_rf_rail)
+                self._set_radio_rf(power / tx.v_rf_rail)
                 yield duration
         else:
-            average = self.tx.p_dc_on * ones_fraction(bits) / self.tx.v_rf_rail
+            average = tx.p_dc_on * (marks / air_bits) / tx.v_rf_rail
             self._set_radio_rf(average)
-            yield self.modulator.duration(len(bits))
+            yield self.modulator.duration(air_bits)
         self._set_radio_rf(0.0)
 
     def _line_code_bits(self, packet: PicoPacket):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +59,7 @@ __all__ = [
     "CotsPowerTrain",
     "IcPowerTrain",
     "make_power_train",
+    "management_power",
 ]
 
 
@@ -72,19 +73,44 @@ class LoadState:
     i_radio_rf: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in _LOAD_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"{name} must be finite, got {value!r}"
-                )
-            if value < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0")
+        _check_loads(
+            self.i_mcu, self.i_sensor, self.i_radio_digital, self.i_radio_rf
+        )
 
 
 #: LoadState's field names, in declaration order: the per-construction
 #: check iterates this instead of calling ``dataclasses.fields``.
 _LOAD_FIELDS = tuple(field.name for field in dataclasses.fields(LoadState))
+
+_INF = math.inf
+
+
+def _check_loads(i_mcu, i_sensor, i_radio_digital, i_radio_rf) -> None:
+    """Raise the :class:`ConfigurationError` of the first bad load."""
+    values = (i_mcu, i_sensor, i_radio_digital, i_radio_rf)
+    for name, value in zip(_LOAD_FIELDS, values):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        if value < 0.0:
+            raise ConfigurationError(f"{name} must be >= 0")
+
+
+def management_power(
+    v_battery: float,
+    i_battery: float,
+    p_mcu: float,
+    p_sensor: float,
+    p_radio_digital: float,
+    p_radio_rf: float,
+) -> float:
+    """Power-management overhead: battery power minus delivered power.
+
+    The one definition behind :attr:`TrainSolution.p_management`,
+    :meth:`GraphPowerTrain.settle` and the cohort mirror; the delivered
+    sum runs in channel order.
+    """
+    delivered = ((p_mcu + p_sensor) + p_radio_digital) + p_radio_rf
+    return max(v_battery * i_battery - delivered, 0.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,7 +130,11 @@ class TrainSolution:
     @property
     def p_management(self) -> float:
         """Power-management overhead: battery power minus delivered power."""
-        return max(self.p_battery - sum(self.subsystem_power.values()), 0.0)
+        power = self.subsystem_power
+        return management_power(
+            self.v_battery, self.i_battery, power["mcu"], power["sensor"],
+            power["radio-digital"], power["radio-rf"],
+        )
 
 
 class PowerTrain(abc.ABC):
@@ -153,8 +183,12 @@ class PowerTrain(abc.ABC):
         self.radio_enabled = False
 
     def _check_radio_load(self, loads: LoadState) -> None:
+        self._check_radio_currents(loads.i_radio_digital, loads.i_radio_rf)
+
+    def _check_radio_currents(self, i_radio_digital: float,
+                              i_radio_rf: float) -> None:
         if not self.radio_enabled and (
-            loads.i_radio_digital > 0.0 or loads.i_radio_rf > 0.0
+            i_radio_digital > 0.0 or i_radio_rf > 0.0
         ):
             raise ElectricalError(
                 f"{self.name}: radio load with its supplies gated off"
@@ -296,6 +330,64 @@ class GraphPowerTrain(PowerTrain):
                 "radio-digital": v_digital * i_digital,
                 "radio-rf": v_rf * i_rf,
             },
+        )
+
+    def settle(
+        self,
+        ocv: float,
+        resistance: float,
+        i_prev: float,
+        i_mcu: float,
+        i_sensor: float,
+        i_radio_digital: float,
+        i_radio_rf: float,
+    ) -> Tuple[float, Tuple[float, float, float, float, float]]:
+        """One load change against a battery of OCV ``ocv`` and series
+        ``resistance``: ``(i_battery, powers)``.
+
+        Bit for bit what two chained :meth:`solve` calls return — the
+        first at the terminal voltage under the previous draw
+        ``i_prev``, the second at the terminal voltage under the first
+        call's draw — without building their :class:`LoadState` and
+        :class:`TrainSolution` objects.  ``powers`` is the second
+        solution's ``(mcu, sensor, radio-digital, radio-rf,
+        power-management)`` attribution.  Raises what those calls raise:
+        :class:`ConfigurationError` for a bad load (as
+        :class:`LoadState`), then :class:`ElectricalError` for a radio
+        load behind closed gates or an out-of-envelope solve.
+        """
+        # NaN, infinities and negatives all fail the chained compares;
+        # only then does the reference check pick the error to raise.
+        if not (0.0 <= i_mcu < _INF and 0.0 <= i_sensor < _INF
+                and 0.0 <= i_radio_digital < _INF
+                and 0.0 <= i_radio_rf < _INF):
+            _check_loads(i_mcu, i_sensor, i_radio_digital, i_radio_rf)
+        self._check_radio_currents(i_radio_digital, i_radio_rf)
+        graph, gates = self.graph, self._open_gates
+        degradation, loss = self._component_degradations, self._loss_factor
+        i_battery = solve_scalar(
+            graph, ocv - i_prev * resistance, i_mcu, i_sensor,
+            i_radio_digital, i_radio_rf, gates, degradation,
+        )[0]
+        if loss != 1.0:
+            i_battery = i_battery * loss
+        v_battery = ocv - i_battery * resistance
+        i_battery = solve_scalar(
+            graph, v_battery, i_mcu, i_sensor, i_radio_digital, i_radio_rf,
+            gates, degradation,
+        )[0]
+        if loss != 1.0:
+            i_battery = i_battery * loss
+        v_mcu, v_sensor, v_digital, v_rf = self._tap_voltages
+        p_mcu = v_mcu * i_mcu
+        p_sensor = v_sensor * i_sensor
+        p_digital = v_digital * i_radio_digital
+        p_rf = v_rf * i_radio_rf
+        return i_battery, (
+            p_mcu, p_sensor, p_digital, p_rf,
+            management_power(
+                v_battery, i_battery, p_mcu, p_sensor, p_digital, p_rf
+            ),
         )
 
 

@@ -37,11 +37,13 @@ import numpy as np
 
 from ..core.energy_audit import EnergyAudit, audit_node
 from ..core.node import PicoCube
+from ..core.power_train import management_power
 from ..errors import ConfigurationError, ElectricalError, SimulationError
 from ..mcu import Mode
 from ..sim.recorder import PowerRecorder
 from ..units import DAY
 from .fleet import AirTimeRecord, FleetChannel, fleet_node_config, phase_node
+from .framing import POPCOUNT
 from .packet import crc8
 
 __all__ = [
@@ -69,8 +71,8 @@ PARITY_MIRRORS = {
         "repro.storage.nimh:NiMHCell._self_discharge_acceleration",
     ),
     "_CohortMachine._solve_update": (
-        "repro.core.node:PicoCube._update",
-        "repro.core.power_train:TrainSolution.p_management",
+        "repro.core.power_train:GraphPowerTrain.settle",
+        "repro.core.power_train:management_power",
     ),
 }
 
@@ -386,9 +388,7 @@ class _CohortMachine:
         self.nids = np.array(
             [(k + 1) % 256 for k in spec.node_indices], dtype=np.int64
         )
-        self._popcount = np.array(
-            [bin(value).count("1") for value in range(256)], dtype=np.int64
-        )
+        self._popcount = np.array(POPCOUNT, dtype=np.int64)
         self._crc_table = np.array(
             [crc8(bytes([value])) for value in range(256)], dtype=np.int64
         )
@@ -479,10 +479,10 @@ class _CohortMachine:
     ) -> np.ndarray:
         """Per-lane OOK average RF current for the payload segment.
 
-        Mirrors ``tx.p_dc_on * ones_fraction(bits) / tx.v_rf_rail`` with
-        the mark density computed analytically: the frame differs across
-        lanes only in the id byte and the CRC it drags along, so the
-        ones count is a popcount chain over those bytes.
+        Mirrors the node's ``tx.p_dc_on * (marks / air_bits) /
+        tx.v_rf_rail`` (``line_code_counts``) over lanes: the frame
+        differs across lanes only in the id byte and the CRC it drags
+        along, so the ones count is a popcount chain over those bytes.
         """
         variant = self._variant_for(cycle)
         body = self._variants[variant]
@@ -647,7 +647,8 @@ class _CohortMachine:
         cycle: int,
         capture: bool,
     ) -> Tuple[np.ndarray, List[Tuple[str, float]]]:
-        """Mirror of ``PicoCube._update``: two chained batch solves."""
+        """Mirror of ``GraphPowerTrain.settle`` (one ``PicoCube._update``):
+        two chained batch solves."""
         i_rf = (
             self._payload_rf_current(nids, cycle)
             if update.rf_payload else update.i_radio_rf
@@ -676,8 +677,9 @@ class _CohortMachine:
             p_rf = self.tap["radio-rf"] * (
                 float(i_rf[0]) if update.rf_payload else i_rf
             )
-            delivered = ((p_mcu + p_sensor) + p_digital) + p_rf
-            p_management = max(float(v2[0] * i2[0]) - delivered, 0.0)
+            p_management = management_power(
+                float(v2[0]), float(i2[0]), p_mcu, p_sensor, p_digital, p_rf
+            )
             rows = [
                 ("mcu", p_mcu),
                 ("sensor", p_sensor),

@@ -14,7 +14,9 @@ design runs out of density headroom.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -367,7 +369,13 @@ def model_retries(
     identical with and without a channel fault schedule.
     """
     retries = recovered = 0
-    occupied = list(delivered)
+    # A candidate overlaps a delivered burst iff some burst starting
+    # before the candidate ends also ends after it starts: bisect the
+    # sorted starts, then ask the running maximum of the ends.
+    ordered = sorted(delivered, key=lambda r: r.start)
+    starts = [r.start for r in ordered]
+    latest_ends = list(itertools.accumulate((r.end for r in ordered), max))
+    accepted: List[AirTimeRecord] = []
     for record in sorted(lost, key=lambda r: (r.start, r.node_id)):
         rng = random.Random(
             f"{retry_seed}:{record.node_id}:{record.seq}"
@@ -389,9 +397,12 @@ def model_retries(
             t = candidate.end
             if burst_in_noise(candidate, noise_windows):
                 continue
-            if any(candidate.overlaps(r) for r in occupied):
+            before = bisect.bisect_left(starts, candidate.end)
+            if before and latest_ends[before - 1] > candidate.start:
                 continue
-            occupied.append(candidate)
+            if any(candidate.overlaps(r) for r in accepted):
+                continue
+            accepted.append(candidate)
             recovered += 1
             break
     return retries, recovered

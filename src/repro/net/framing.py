@@ -8,9 +8,12 @@ trade the benchmarks quantify (energy per packet vs. robustness).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..errors import PacketError
+
+#: Set bits of every byte value: a frame's mark count is a table sum.
+POPCOUNT: Tuple[int, ...] = tuple(bin(value).count("1") for value in range(256))
 
 
 def bytes_to_bits(data: bytes) -> List[int]:
@@ -71,3 +74,17 @@ def ones_fraction(bits: Sequence[int]) -> float:
     if not bits:
         raise PacketError("empty bit sequence")
     return sum(1 for b in bits if b == 1) / len(bits)
+
+
+def line_code_counts(frame: bytes, line_code: str) -> Tuple[int, int]:
+    """``(marks, air_bits)`` of a frame after line coding.
+
+    The same two integers as ``sum(bits)`` and ``len(bits)`` over the
+    coded bit list, read off the frame bytes: NRZ sends the frame bits
+    as they are; Manchester sends two chips per bit, exactly one of them
+    a mark.
+    """
+    frame_bits = 8 * len(frame)
+    if line_code == "manchester":
+        return frame_bits, 2 * frame_bits
+    return sum(map(POPCOUNT.__getitem__, frame)), frame_bits

@@ -55,6 +55,18 @@ class PowerRecorder:
         """Set channel ``name`` to ``watts`` at the current sim time."""
         self.channel(name).set(self._engine.now, watts)
 
+    def record_many(self, names: Sequence[str],
+                    watts: Sequence[float]) -> None:
+        """Set each channel in ``names`` to its ``watts`` at the current
+        sim time, in order: the same as one :meth:`record` per pair."""
+        now = self._engine.now
+        channels = self._channels
+        for name, value in zip(names, watts):
+            trace = channels.get(name)
+            if trace is None:
+                trace = self.channel(name)
+            trace.set(now, value)
+
     # -- aggregates --------------------------------------------------------------
 
     def energy(self, name: str, start: Optional[float] = None, end: Optional[float] = None) -> float:

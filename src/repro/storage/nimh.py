@@ -15,6 +15,7 @@ and NiMH's notorious self-discharge.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence, Tuple
 
 from ..errors import StorageError
@@ -77,6 +78,9 @@ class NiMHCell(EnergyStorage):
         self.r_internal_mid = r_internal
         self.self_discharge_per_month = self_discharge_per_month
         self.ocv_curve = curve
+        # Segment upper bounds: bisect_left over them picks the segment
+        # holding soc (the cohort mirror's searchsorted side="left").
+        self._ocv_soc_hi = tuple(point[0] for point in curve[1:])
         self.overcharge_heat_joules = 0.0
         self.temperature_c = 25.0
         # Fault-injection knobs (repro.faults): 1.0 means healthy.
@@ -134,11 +138,14 @@ class NiMHCell(EnergyStorage):
     def open_circuit_voltage(self) -> float:
         soc = self.soc
         curve = self.ocv_curve
-        for (s0, v0), (s1, v1) in zip(curve, curve[1:]):
-            if soc <= s1:
-                frac = (soc - s0) / (s1 - s0)
-                return v0 + frac * (v1 - v0)
-        return curve[-1][1]
+        soc_hi = self._ocv_soc_hi
+        if not soc <= soc_hi[-1]:  # above the curve, or NaN
+            return curve[-1][1]
+        index = bisect_left(soc_hi, soc)
+        s0, v0 = curve[index]
+        s1, v1 = curve[index + 1]
+        frac = (soc - s0) / (s1 - s0)
+        return v0 + frac * (v1 - v0)
 
     def internal_resistance(self) -> float:
         # Resistance climbs as the cell empties (electrolyte depletion)

@@ -12,10 +12,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import NodeConfig, PicoCube
 from repro.errors import PacketError
 from repro.net.framing import (
+    POPCOUNT,
     bits_to_bytes,
     bytes_to_bits,
+    line_code_counts,
     manchester_decode,
     manchester_encode,
 )
@@ -30,6 +33,27 @@ packets = st.builds(
         st.integers(0, 0xFFFF), max_size=MAX_PAYLOAD_WORDS
     ),
 )
+
+
+LINE_CODE_NODES = {
+    code: PicoCube(NodeConfig(line_code=code)) for code in ("nrz", "manchester")
+}
+
+
+@given(packets, st.sampled_from(sorted(LINE_CODE_NODES)))
+@settings(max_examples=200)
+def test_line_code_counts_match_the_coded_bit_list(packet, line_code):
+    """The fast-fidelity mark density comes from two integers read off
+    the frame bytes; they are the coded bit list's sum and length."""
+    bits = LINE_CODE_NODES[line_code]._line_code_bits(packet)
+    marks, air_bits = line_code_counts(packet.to_bytes(), line_code)
+    assert (marks, air_bits) == (sum(bits), len(bits))
+
+
+def test_popcount_table_counts_set_bits():
+    assert POPCOUNT == tuple(
+        sum(bytes_to_bits(bytes([value]))) for value in range(256)
+    )
 
 
 @given(packets)

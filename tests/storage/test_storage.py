@@ -1,5 +1,7 @@
 """Tests for energy-storage models: NiMH, capacitors, thin-film."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -261,3 +263,42 @@ def test_property_stored_energy_monotone_in_soc(soc):
     energy = cell.stored_energy()
     cell.set_soc(soc * 0.5)
     assert cell.stored_energy() < energy
+
+
+def _linear_scan_ocv(cell):
+    """The OCV lookup before bisection: walk the segments in order."""
+    soc = cell.soc
+    curve = cell.ocv_curve
+    for (s0, v0), (s1, v1) in zip(curve, curve[1:]):
+        if soc <= s1:
+            frac = (soc - s0) / (s1 - s0)
+            return v0 + frac * (v1 - v0)
+    return curve[-1][1]
+
+
+def _ocv_probe_socs(curve):
+    socs = [point[0] for point in curve]
+    socs += [(a[0] + b[0]) / 2.0 for a, b in zip(curve, curve[1:])]
+    socs += [math.nextafter(s, -1.0) for s in socs if s > 0.0]
+    socs += [math.nextafter(s, 2.0) for s in socs if s < 1.0]
+    return socs + [0.0, 1.0, math.nextafter(1.0, 2.0), 1.5, float("nan")]
+
+
+@pytest.mark.parametrize("curve", [
+    None,
+    ((0.0, 0.8), (0.3, 1.15), (0.31, 1.2), (0.9, 1.3), (1.0, 1.45)),
+    ((0.0, 1.0), (1.0, 1.3)),
+], ids=["default", "custom", "two-point"])
+def test_ocv_bisection_equals_linear_scan(curve):
+    """Bisection picks the segment the linear scan picked, bit for bit:
+    at breakpoints, midpoints, one ulp either side, the ends, above a
+    full cell and at NaN (both of the last two give the last voltage)."""
+    cell = NiMHCell() if curve is None else NiMHCell(ocv_curve=curve)
+    for soc in _ocv_probe_socs(cell.ocv_curve):
+        cell._charge = soc * cell.capacity_coulombs
+        expected = _linear_scan_ocv(cell)
+        assert cell.open_circuit_voltage().hex() == expected.hex(), soc
+    cell._charge = 1.5 * cell.capacity_coulombs
+    assert cell.open_circuit_voltage() == cell.ocv_curve[-1][1]
+    cell._charge = float("nan")
+    assert cell.open_circuit_voltage() == cell.ocv_curve[-1][1]

@@ -16,15 +16,17 @@ def bits(value):
 
 def _at(value, k):
     arr = np.asarray(value)
-    return arr[()] if arr.ndim == 0 else arr[k]
+    if arr.ndim == 0:
+        return arr[()]
+    return arr[k if len(arr) > 1 else 0]
 
 
 def scalar_loop(graph, v_source, loads, open_gates=frozenset(),
                 degradation=None):
     """``graph.solve`` at every point of batch-shaped inputs.
 
-    Takes the arguments of ``solve_batch``: scalars broadcast, arrays
-    are sliced per point, and a gate mapping's masks give each point's
+    Takes the arguments of ``solve_batch``: scalars and length-1 arrays
+    broadcast, other arrays are sliced per point, and a gate mapping's masks give each point's
     open-gate set.  Raises the first point's error, as a loop would.
     """
     shapes = [np.shape(v_source)] + [np.shape(a) for a in loads.values()]

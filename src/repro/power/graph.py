@@ -809,71 +809,8 @@ class RailGraph:
         call no kernel can, and re-solves the point a kernel flags out
         of envelope to raise its error.
         """
-        # Common input shapes skip the generic prologue entirely: the
-        # specialized path declines (returns None) on anything it does
-        # not model, falling through to the full normalization below
-        # with identical error behavior.
-        result = _compile_module().solve_batch_fast(
-            self, v_source, loads, open_gates, degradation
-        )
-        if result is not None:
-            return result
-        v = np.asarray(v_source, dtype=np.float64)
-        if v.ndim > 1:
-            raise ConfigurationError(
-                f"{self.spec.name}: v_source must be a scalar or a 1-D "
-                f"batch, got shape {v.shape}"
-            )
-        load_arrays: Dict[str, np.ndarray] = {}
-        shapes = [v.shape]
-        for channel, amps in loads.items():
-            if channel not in self._taps:
-                raise ConfigurationError(
-                    f"{self.spec.name}: load on untapped channel "
-                    f"{channel!r}"
-                )
-            arr = np.asarray(amps, dtype=np.float64)
-            if arr.ndim > 1:
-                raise ConfigurationError(
-                    f"{self.spec.name}: load {channel!r} must be a scalar "
-                    f"or a 1-D batch, got shape {arr.shape}"
-                )
-            load_arrays[channel] = arr
-            shapes.append(arr.shape)
-        if isinstance(open_gates, MappingABC):
-            for state in open_gates.values():
-                arr = np.asarray(state)
-                if arr.ndim == 1:
-                    shapes.append(arr.shape)
-        if degradation:
-            for factor in degradation.values():
-                arr = np.asarray(factor, dtype=np.float64)
-                if arr.ndim == 1:
-                    shapes.append(arr.shape)
-        try:
-            shape = np.broadcast_shapes(*shapes)
-        except ValueError:
-            raise ConfigurationError(
-                f"{self.spec.name}: batch inputs do not broadcast: "
-                f"{[tuple(s) for s in shapes]}"
-            ) from None
-        shape = shape if shape else (1,)
-        v = np.broadcast_to(v, shape)
-        for channel in list(load_arrays):
-            arr = np.broadcast_to(load_arrays[channel], shape)
-            bad = ~np.isfinite(arr) | (arr < 0.0)
-            if bad.any():
-                index = int(np.argmax(bad))
-                raise ConfigurationError(
-                    f"{self.spec.name}: load {channel!r} must be finite "
-                    f"and >= 0, got {float(arr[index])!r} at batch point "
-                    f"{index}"
-                )
-            load_arrays[channel] = arr
-        gates = self._normalize_gates(open_gates, shape)
-        factors = self._normalize_degradation(degradation, shape)
         return _compile_module().solve_batch_compiled(
-            self, v, load_arrays, gates, factors, shape
+            self, v_source, loads, open_gates, degradation
         )
 
     def _solve_points(self, v, loads, gates, factors,

@@ -1,28 +1,27 @@
 """One cache-root convention for every on-disk cache in the package.
 
 Several subsystems persist derived artifacts across processes: the
-rail-graph kernel cache (:mod:`repro.power.compile`), the campaign
-:class:`~repro.runner.store.ResultStore`, and the campaign service's job
-journal and simulation checkpoints (:mod:`repro.service`).  All resolve
-their directory here, under a single ``REPRO_CACHE_DIR`` environment
-variable, so one setting warms every cache::
+campaign :class:`~repro.runner.store.ResultStore`, and the campaign
+service's job journal and simulation checkpoints (:mod:`repro.service`).
+All resolve their directory here, under a single ``REPRO_CACHE_DIR``
+environment variable, so one setting warms every cache::
 
-    REPRO_CACHE_DIR=~/.cache/repro  →  kernels/  results/  jobs/  checkpoints/
+    REPRO_CACHE_DIR=~/.cache/repro  →  results/  jobs/  checkpoints/
 
-Subsystem-specific overrides stay supported — the kernel cache's
-historical ``REPRO_KERNEL_CACHE_DIR`` wins over the shared root for its
-subdirectory — and when neither variable is set, resolution returns
-``None`` and the caller stays memory-only, exactly the pre-existing
-behaviour.  See ``docs/PERF.md`` for the operational guidance.
+When the variable is unset, resolution returns ``None`` and the caller
+stays memory-only.  Every writer goes through :func:`atomic_write`.  See
+``docs/PERF.md`` for the operational guidance.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from typing import Optional
 
 __all__ = [
     "REPRO_CACHE_DIR_ENV",
+    "atomic_write",
     "cache_root",
     "resolve_cache_dir",
 ]
@@ -43,22 +42,37 @@ def cache_root() -> Optional[str]:
     return os.path.expanduser(os.path.expandvars(root))
 
 
-def resolve_cache_dir(
-    subdir: str, override_env: Optional[str] = None
-) -> Optional[str]:
-    """Resolve one subsystem's cache directory.
-
-    ``override_env`` names a subsystem-specific environment variable that
-    takes precedence (the kernel cache's ``REPRO_KERNEL_CACHE_DIR``); its
-    value is used verbatim as the directory.  Otherwise the shared root's
-    ``subdir`` is used.  Returns ``None`` when neither variable is set,
-    which callers treat as "memory-only, no persistence".
-    """
-    if override_env:
-        override = os.environ.get(override_env)
-        if override:
-            return os.path.expanduser(os.path.expandvars(override))
+def resolve_cache_dir(subdir: str) -> Optional[str]:
+    """Resolve one subsystem's cache directory: the shared root's
+    ``subdir``, or ``None`` when ``REPRO_CACHE_DIR`` is unset (callers
+    treat that as "memory-only, no persistence")."""
     root = cache_root()
     if root is None:
         return None
     return os.path.join(root, subdir)
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so readers see the old file or the
+    new one, never a torn write.
+
+    Creates the parent directory, writes a temp file unique to this
+    call in that directory, then ``os.replace``-s it over ``path``; on
+    any failure the temp file is removed and the error propagates.  No
+    fsync: a crash of the whole machine may still lose the write.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise

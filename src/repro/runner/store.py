@@ -33,7 +33,7 @@ import threading
 from typing import Any, Callable, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .cacheroot import resolve_cache_dir
+from .cacheroot import atomic_write, resolve_cache_dir
 
 __all__ = [
     "RESULT_CODE_VERSION",
@@ -163,7 +163,7 @@ class ResultStore:
             if key in self._memory:
                 self._hits += 1
                 return True, self._memory[key]
-        value, state = self._disk_read(key)
+        value, state = self._disk_get(key)
         with self._lock:
             if state == "hit":
                 self._hits += 1
@@ -181,7 +181,7 @@ class ResultStore:
         """Store a value under ``key`` (atomically, when disk-backed)."""
         with self._lock:
             self._memory[key] = value
-        self._disk_write(key, value)
+        self._disk_put(key, value)
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
         """Return the stored value, computing and storing on first use."""
@@ -219,7 +219,7 @@ class ResultStore:
             self.root, f"result-f{STORE_FORMAT_VERSION}-{key}.pkl"
         )
 
-    def _disk_read(self, key: str) -> Tuple[Any, str]:
+    def _disk_get(self, key: str) -> Tuple[Any, str]:
         """``(value, state)`` with state in hit/miss/corrupt/stale."""
         path = self._path(key)
         if path is None:
@@ -248,7 +248,7 @@ class ResultStore:
             self._drop(path)
             return None, "corrupt"
 
-    def _disk_write(self, key: str, value: Any) -> None:
+    def _disk_put(self, key: str, value: Any) -> None:
         path = self._path(key)
         if path is None:
             return
@@ -264,11 +264,7 @@ class ResultStore:
             "sha256": hashlib.sha256(body).hexdigest(),
         }).encode("utf-8")
         try:
-            os.makedirs(self.root, exist_ok=True)
-            tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "wb") as handle:
-                handle.write(header + b"\n" + body)
-            os.replace(tmp, path)
+            atomic_write(path, header + b"\n" + body)
         except OSError:  # pragma: no cover - cache dir not writable
             return
         self._prune()

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..runner import ResultStore, default_workers, resolve_cache_dir
+from ..runner.cacheroot import atomic_write
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -51,6 +52,10 @@ from .protocol import (
 )
 
 __all__ = ["CampaignService", "serve"]
+
+#: Longest request line the server reads (asyncio's default stream
+#: limit); a longer line is refused and its connection closed.
+MAX_LINE_BYTES = 2 ** 16
 
 
 class _Job:
@@ -137,7 +142,7 @@ class CampaignService:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.address = server.sockets[0].getsockname()[:2]
         if self.announce:
@@ -166,7 +171,19 @@ class CampaignService:
         pump = asyncio.ensure_future(self._pump(outbox, writer))
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Longer than the reader's line limit: the line's
+                    # framing is lost, so refuse it and close only this
+                    # connection once the refusal is on the wire.
+                    outbox.put_nowait({
+                        "type": "error", "job": None,
+                        "message": f"request line longer than "
+                                   f"{MAX_LINE_BYTES} bytes",
+                    })
+                    await outbox.join()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -341,11 +358,7 @@ class CampaignService:
             "params": job.params,
         }, sort_keys=True)
         try:
-            os.makedirs(self._jobs_dir, exist_ok=True)
-            tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
+            atomic_write(path, payload.encode("utf-8"))
         except OSError:  # pragma: no cover - journal dir not writable
             pass
 

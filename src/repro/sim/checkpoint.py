@@ -39,11 +39,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError, ConfigurationError
+from ..runner.cacheroot import atomic_write
 from .clock import PeriodicTimer
 from .trace import StepTrace
 
@@ -679,8 +679,9 @@ def write_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
     The header carries the magic, the envelope format version, the
     schema versions, and a SHA-256 of the body, mirroring the result
-    store's corruption armour; the write goes through a same-directory
-    temp file and ``os.replace`` so a SIGKILL can never leave a torn
+    store's corruption armour; the write goes through
+    :func:`~repro.runner.cacheroot.atomic_write` (a same-directory temp
+    file and ``os.replace``) so a SIGKILL can never leave a torn
     checkpoint behind — readers see the old file or the new one.
     """
     body = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
@@ -693,16 +694,7 @@ def write_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         },
         sort_keys=True,
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp_path, "wb") as handle:
-            handle.write(header.encode("utf-8") + b"\n" + body)
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+    atomic_write(path, header.encode("utf-8") + b"\n" + body)
 
 
 def read_checkpoint(path: str) -> Checkpoint:

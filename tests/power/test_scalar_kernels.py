@@ -382,7 +382,7 @@ def test_clear_and_reset_cover_the_scalar_target():
     clear_kernel_cache()
     reset_kernel_metrics()
     assert kernel_metrics().scalar_compiles == 0
-    assert graph not in kernel_compile._SCALAR_CONTEXTS
+    assert graph not in kernel_compile._CONTEXTS
     graph.solve(1.25, SLEEP)
     assert kernel_metrics().scalar_compiles == 1
 
@@ -445,7 +445,7 @@ def test_kernels_stay_out_of_graph_and_train_state():
     before = train.solve(1.25, loads)
     assert kernel_metrics().scalar_compiles == 1
     blob = pickle.dumps(train)
-    assert b"ScalarKernel" not in blob and b"_scalar" not in blob
+    assert b"CompiledKernel" not in blob and b"_scalar" not in blob
     clone = pickle.loads(blob)
     after = clone.solve(1.25, loads)
     assert after.i_battery.hex() == before.i_battery.hex()
@@ -480,7 +480,7 @@ def test_checkpoint_resume_with_compiled_solves_is_bit_identical(
     path = str(tmp_path / "trial.ckpt")
     cp.write_checkpoint(saved[0], path)
     with open(path, "rb") as handle:
-        assert b"ScalarKernel" not in handle.read()
+        assert b"CompiledKernel" not in handle.read()
     clear_kernel_cache()  # the resumed run rebuilds its kernels
     resumed, _ = cp.resume_run(cp.read_checkpoint(path))
     assert cp.node_fingerprint(resumed) == plain

@@ -125,6 +125,87 @@ def test_atomic_write_leaves_no_tmp_files(tmp_path):
     assert all(name.endswith(".pkl") for name in names)
 
 
+def test_each_write_uses_its_own_temp_file(tmp_path, monkeypatch):
+    """Two writes of one key from one thread stage through two distinct
+    temp names, so neither can replace or delete the other's."""
+    staged = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        staged.append(os.path.basename(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    store = ResultStore(str(tmp_path))
+    key = store.key("same")
+    store.put(key, 1)
+    store.put(key, 2)
+    assert len(staged) == 2 and staged[0] != staged[1]
+    store.clear_memory()
+    assert store.get(key) == (True, 2)
+
+
+def test_concurrent_writers_of_one_key_never_tear_a_read(tmp_path,
+                                                        monkeypatch):
+    """Four threads rewrite one key 40 times each while a reader polls
+    it: every rename succeeds, every read is a whole entry, and no temp
+    file is left."""
+    import threading
+
+    failed_replaces = []
+    real_replace = os.replace
+
+    def counting_replace(src, dst):
+        try:
+            real_replace(src, dst)
+        except OSError as exc:
+            failed_replaces.append(exc)
+            raise
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    payload = b"x" * 20_000
+    key = ResultStore(str(tmp_path)).key("contended")
+    reader = ResultStore(str(tmp_path))
+    done = threading.Event()
+
+    def write(worker):
+        store = ResultStore(str(tmp_path))
+        for n in range(40):
+            store.put(key, (worker, n, payload))
+
+    def read():
+        while not done.is_set():
+            reader.clear_memory()
+            reader.get(key)
+
+    writers = [threading.Thread(target=write, args=(w,)) for w in range(4)]
+    polling = threading.Thread(target=read)
+    polling.start()
+    for thread in writers:
+        thread.start()
+    for thread in writers:
+        thread.join()
+    done.set()
+    polling.join()
+    assert failed_replaces == []
+    assert reader.stats.corrupt_dropped == 0
+    assert [p.name for p in tmp_path.iterdir()
+            if p.name.endswith(".tmp")] == []
+    reader.clear_memory()
+    hit, (worker, n, body) = reader.get(key)
+    assert hit and n == 39 and body == payload
+
+
+def test_failed_write_is_swallowed_and_leaves_no_temp(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    store = ResultStore(str(tmp_path))
+    store.put(store.key("x"), 1)  # the store's posture: no raise
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lru_prune_keeps_most_recent(tmp_path):
     store = ResultStore(str(tmp_path), max_entries=3)
     keys = [store.key(("t", n)) for n in range(5)]
@@ -205,15 +286,6 @@ def test_cache_root_resolves_subdirs(monkeypatch, tmp_path):
     assert cache_root() == str(tmp_path)
     assert resolve_cache_dir("results") == os.path.join(str(tmp_path), "results")
     assert resolve_cache_dir("jobs") == os.path.join(str(tmp_path), "jobs")
-
-
-def test_subsystem_override_wins(monkeypatch, tmp_path):
-    monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(tmp_path / "shared"))
-    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kern"))
-    assert resolve_cache_dir(
-        "kernels", override_env="REPRO_KERNEL_CACHE_DIR"
-    ) == str(tmp_path / "kern")
-    assert resolve_cache_dir("results") == str(tmp_path / "shared" / "results")
 
 
 def test_store_picks_up_cache_root(monkeypatch, tmp_path):

@@ -12,7 +12,8 @@ import pytest
 
 from repro import campaigns
 from repro.service import CampaignService, ServiceClient, job_key, jsonable
-from repro.service import normalize_request
+from repro.service import ProtocolError, normalize_request
+from repro.service.server import MAX_LINE_BYTES
 from repro.sim import checkpoint as cp
 
 
@@ -56,6 +57,22 @@ def test_bad_submit_is_refused_not_fatal(service):
         assert refused["type"] == "error"
         # The connection survives and still serves work.
         assert client.ping()["type"] == "pong"
+
+
+def test_oversize_line_is_refused_and_closes_only_its_connection(service):
+    """A request line past the server's line limit gets an error reply,
+    then that connection closes; other clients are unaffected."""
+    with connect(service) as client:
+        client._sock.sendall(
+            b'{"type": "ping", "pad": "' + b"x" * 70_000 + b'"}\n'
+        )
+        error = client.recv()
+        assert error["type"] == "error" and error["job"] is None
+        assert str(MAX_LINE_BYTES) in error["message"]
+        with pytest.raises(ProtocolError, match="closed the connection"):
+            client.recv()
+    with connect(service) as other:
+        assert other.ping()["type"] == "pong"
 
 
 def test_campaign_streams_progress_then_result(service):

@@ -321,6 +321,16 @@ def test_write_is_atomic_no_tmp_left_behind(tmp_path):
     assert names == ["c.ckpt"]
 
 
+def test_failed_write_raises_and_leaves_no_temp(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cp.write_checkpoint(make_checkpoint(), str(tmp_path / "c.ckpt"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_scenario_unknown_kind():
     with pytest.raises(CheckpointError):
         cp.build_scenario("no-such-kind", {})
